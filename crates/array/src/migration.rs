@@ -21,8 +21,9 @@
 use crate::remap::RemapTable;
 use crate::types::{ChunkId, DiskId};
 use diskmodel::{Completion, DiskRequest, IoKind, RequestClass};
-use simkit::{IdMap, SimTime};
+use simkit::SimTime;
 use std::collections::{HashSet, VecDeque};
+use std::ops::Range;
 use telemetry::MoveKind;
 
 /// A requested layout change.
@@ -140,13 +141,17 @@ pub enum MigrationRecordKind {
     },
 }
 
-/// Phase of an active job.
+/// The batch of piece I/O an active job is waiting on: all its reads,
+/// then all its writes. A batch's pieces take consecutive request ids, so
+/// the id range alone routes a completion to its job.
 #[derive(Debug)]
-enum Phase {
-    /// Waiting for `remaining` read-piece completions.
-    Reading { remaining: u32 },
-    /// Waiting for `remaining` write-piece completions.
-    Writing { remaining: u32 },
+struct Phase {
+    /// `false` while reading, `true` once the writes are issued.
+    writing: bool,
+    /// Request ids of the batch's pieces.
+    ids: Range<u64>,
+    /// Pieces of the batch not yet completed.
+    remaining: u32,
 }
 
 #[derive(Debug)]
@@ -165,14 +170,13 @@ pub struct MigrationEngine {
     /// boost must not stall redundancy restoration) and survive
     /// [`MigrationEngine::clear_pending`].
     rebuild_pending: VecDeque<MigrationJob>,
-    /// Engine-assigned job ids are sequential, so the one-multiply `IdMap`
-    /// replaces SipHash on the per-piece completion path.
-    active: IdMap<ActiveJob>,
-    /// disk-request id → job id, for routing completions.
-    request_to_job: IdMap<u64>,
-    /// Requests whose job was torn down by a disk failure; their completions
-    /// (from surviving disks) are swallowed instead of panicking.
-    orphaned: HashSet<u64>,
+    /// In-flight jobs in job-id order (ids are handed out sequentially, so
+    /// a push keeps the order). Never longer than `max_inflight`, so a
+    /// scan of the piece-id ranges routes a completion.
+    active: Vec<(u64, ActiveJob)>,
+    /// Piece-id ranges of jobs torn down by a disk failure; completions in
+    /// them (from surviving disks) are swallowed instead of panicking.
+    orphaned: Vec<Range<u64>>,
     /// Disks that have failed; jobs touching them are refused.
     dead: HashSet<usize>,
     active_rebuilds: usize,
@@ -201,9 +205,8 @@ impl MigrationEngine {
         MigrationEngine {
             pending: VecDeque::new(),
             rebuild_pending: VecDeque::new(),
-            active: IdMap::with_capacity(max_inflight),
-            request_to_job: IdMap::new(),
-            orphaned: HashSet::new(),
+            active: Vec::with_capacity(max_inflight),
+            orphaned: Vec::new(),
             dead: HashSet::new(),
             active_rebuilds: 0,
             next_job_id: 0,
@@ -261,8 +264,8 @@ impl MigrationEngine {
         self.piece_sectors = sectors;
     }
 
-    /// Emits piece requests covering `[sector, sector + sectors)`.
-    #[allow(clippy::too_many_arguments)]
+    /// Emits piece requests covering `[sector, sector + sectors)`, taking
+    /// consecutive request ids.
     fn make_pieces(
         &mut self,
         now: SimTime,
@@ -270,19 +273,24 @@ impl MigrationEngine {
         sector: u64,
         sectors: u32,
         kind: IoKind,
-        job_id: u64,
         out: &mut Vec<(DiskId, DiskRequest)>,
-    ) -> u32 {
+    ) {
         let mut off = 0;
-        let mut pieces = 0;
         while off < sectors {
             let take = (sectors - off).min(self.piece_sectors);
-            let req = self.make_req(now, sector + u64::from(off), take, kind, job_id);
+            let req = self.make_req(now, sector + u64::from(off), take, kind);
             out.push((disk, req));
             off += take;
-            pieces += 1;
         }
-        pieces
+    }
+
+    /// The batch of pieces made since request id `first`.
+    fn phase_since(&self, writing: bool, first: u64) -> Phase {
+        Phase {
+            writing,
+            ids: first..self.next_req_id,
+            remaining: (self.next_req_id - first) as u32,
+        }
     }
 
     /// Adds jobs to the pending queue (executed FIFO).
@@ -350,7 +358,7 @@ impl MigrationEngine {
     /// Marks any in-flight job touching `chunk` dirty (called by the driver
     /// for every foreground **write**).
     pub fn note_foreground_write(&mut self, chunk: ChunkId) {
-        for job in self.active.values_mut() {
+        for (_, job) in &mut self.active {
             let touches = match job.job {
                 MigrationJob::Relocate { chunk: c, .. } => c == chunk,
                 MigrationJob::Swap { a, b } => a == chunk || b == chunk,
@@ -413,7 +421,7 @@ impl MigrationEngine {
     /// jobs over one chunk would race on its placement, so overlapping jobs
     /// are dropped at start (the planner re-plans next epoch anyway).
     fn chunk_busy(&self, chunk: ChunkId) -> bool {
-        self.active.values().any(|j| match j.job {
+        self.active.iter().any(|(_, j)| match j.job {
             MigrationJob::Relocate { chunk: c, .. } => c == chunk,
             MigrationJob::Swap { a, b } => a == chunk || b == chunk,
             MigrationJob::RawWrite { .. } => false,
@@ -454,6 +462,7 @@ impl MigrationEngine {
         }
         let chunk_sectors = remap.chunk_sectors() as u32;
         let job_id = self.next_job_id;
+        let first = self.next_req_id;
         match job {
             MigrationJob::Rebuild { chunk, src, dst } => {
                 // The reserved destination may have filled up since the
@@ -468,24 +477,24 @@ impl MigrationEngine {
                     }
                 };
                 let mut reads = Vec::new();
-                let pieces = self.make_pieces(
+                self.make_pieces(
                     now,
                     src,
                     remap.physical_sector(chunk),
                     chunk_sectors,
                     IoKind::Read,
-                    job_id,
                     &mut reads,
                 );
-                self.active.insert(
+                let phase = self.phase_since(false, first);
+                self.active.push((
                     job_id,
                     ActiveJob {
                         job: MigrationJob::Rebuild { chunk, src, dst },
-                        phase: Phase::Reading { remaining: pieces },
+                        phase,
                         dirty: false,
                         reserved_slot: Some(slot),
                     },
-                );
+                ));
                 self.active_rebuilds += 1;
                 self.next_job_id += 1;
                 self.record(
@@ -506,24 +515,24 @@ impl MigrationEngine {
                 }
                 let slot = remap.reserve_slot(dst)?;
                 let mut reads = Vec::new();
-                let pieces = self.make_pieces(
+                self.make_pieces(
                     now,
                     src.disk,
                     remap.physical_sector(chunk),
                     chunk_sectors,
                     IoKind::Read,
-                    job_id,
                     &mut reads,
                 );
-                self.active.insert(
+                let phase = self.phase_since(false, first);
+                self.active.push((
                     job_id,
                     ActiveJob {
                         job,
-                        phase: Phase::Reading { remaining: pieces },
+                        phase,
                         dirty: false,
                         reserved_slot: Some(slot),
                     },
-                );
+                ));
                 self.next_job_id += 1;
                 self.record(
                     now,
@@ -542,24 +551,17 @@ impl MigrationEngine {
                 sectors,
             } => {
                 let mut writes = Vec::new();
-                let pieces = self.make_pieces(
-                    now,
-                    disk,
-                    sector,
-                    sectors,
-                    IoKind::Write,
-                    job_id,
-                    &mut writes,
-                );
-                self.active.insert(
+                self.make_pieces(now, disk, sector, sectors, IoKind::Write, &mut writes);
+                let phase = self.phase_since(true, first);
+                self.active.push((
                     job_id,
                     ActiveJob {
                         job,
-                        phase: Phase::Writing { remaining: pieces },
+                        phase,
                         dirty: false,
                         reserved_slot: None,
                     },
-                );
+                ));
                 self.next_job_id += 1;
                 self.record(
                     now,
@@ -579,33 +581,32 @@ impl MigrationEngine {
                     return None;
                 }
                 let mut reads = Vec::new();
-                let p1 = self.make_pieces(
+                self.make_pieces(
                     now,
                     pa.disk,
                     remap.physical_sector(a),
                     chunk_sectors,
                     IoKind::Read,
-                    job_id,
                     &mut reads,
                 );
-                let p2 = self.make_pieces(
+                self.make_pieces(
                     now,
                     pb.disk,
                     remap.physical_sector(b),
                     chunk_sectors,
                     IoKind::Read,
-                    job_id,
                     &mut reads,
                 );
-                self.active.insert(
+                let phase = self.phase_since(false, first);
+                self.active.push((
                     job_id,
                     ActiveJob {
                         job,
-                        phase: Phase::Reading { remaining: p1 + p2 },
+                        phase,
                         dirty: false,
                         reserved_slot: None,
                     },
-                );
+                ));
                 self.next_job_id += 1;
                 self.record(
                     now,
@@ -621,17 +622,9 @@ impl MigrationEngine {
         }
     }
 
-    fn make_req(
-        &mut self,
-        now: SimTime,
-        sector: u64,
-        sectors: u32,
-        kind: IoKind,
-        job_id: u64,
-    ) -> DiskRequest {
+    fn make_req(&mut self, now: SimTime, sector: u64, sectors: u32, kind: IoKind) -> DiskRequest {
         let id = self.next_req_id;
         self.next_req_id += 1;
-        self.request_to_job.insert(id, job_id);
         DiskRequest {
             id,
             sector,
@@ -654,166 +647,145 @@ impl MigrationEngine {
         remap: &mut RemapTable,
     ) -> Vec<(DiskId, DiskRequest)> {
         let req_id = comp.request.id;
-        if self.orphaned.remove(&req_id) {
+        self.stats.sectors_moved += u64::from(comp.request.sectors);
+        if self.orphaned.iter().any(|ids| ids.contains(&req_id)) {
             // The job this piece belonged to was torn down by a disk
             // failure; the I/O happened, but there is nothing to advance.
-            self.stats.sectors_moved += u64::from(comp.request.sectors);
             return Vec::new();
         }
-        let job_id = *self
-            .request_to_job
-            .get(req_id)
+        let pos = self
+            .active
+            .iter()
+            .position(|(_, a)| a.phase.ids.contains(&req_id))
             .expect("unknown migration completion");
-        self.request_to_job.remove(req_id);
-        self.stats.sectors_moved += u64::from(comp.request.sectors);
-
-        let job = self.active.get_mut(job_id).expect("job state missing");
-        match &mut job.phase {
-            Phase::Reading { remaining } => {
-                *remaining -= 1;
-                if *remaining > 0 {
-                    return Vec::new();
+        let (job_id, job) = &mut self.active[pos];
+        let job_id = *job_id;
+        job.phase.remaining -= 1;
+        if job.phase.remaining > 0 {
+            return Vec::new();
+        }
+        if !job.phase.writing {
+            // All reads done → issue writes.
+            let chunk_sectors = remap.chunk_sectors() as u32;
+            let targets: Vec<(DiskId, u64)> = match job.job {
+                MigrationJob::RawWrite { .. } => {
+                    unreachable!("raw writes never enter the read phase")
                 }
-                // All reads done → issue writes.
-                let chunk_sectors = remap.chunk_sectors() as u32;
-                let targets: Vec<(DiskId, u64)> = match job.job {
-                    MigrationJob::RawWrite { .. } => {
-                        unreachable!("raw writes never enter the read phase")
-                    }
-                    MigrationJob::Relocate { dst, .. } | MigrationJob::Rebuild { dst, .. } => {
-                        let slot = job.reserved_slot.expect("job reserved a slot");
-                        vec![(dst, u64::from(slot) * remap.chunk_sectors())]
-                    }
-                    MigrationJob::Swap { a, b } => {
-                        // Each chunk is written into the other's current slot.
-                        let pa = remap.placement(a);
-                        let pb = remap.placement(b);
-                        vec![
-                            (pb.disk, u64::from(pb.slot) * remap.chunk_sectors()),
-                            (pa.disk, u64::from(pa.slot) * remap.chunk_sectors()),
-                        ]
-                    }
-                };
-                let mut out = Vec::new();
-                let mut count = 0;
-                for (disk, sector) in targets {
-                    count += self.make_pieces(
+                MigrationJob::Relocate { dst, .. } | MigrationJob::Rebuild { dst, .. } => {
+                    let slot = job.reserved_slot.expect("job reserved a slot");
+                    vec![(dst, u64::from(slot) * remap.chunk_sectors())]
+                }
+                MigrationJob::Swap { a, b } => {
+                    // Each chunk is written into the other's current slot.
+                    let pa = remap.placement(a);
+                    let pb = remap.placement(b);
+                    vec![
+                        (pb.disk, u64::from(pb.slot) * remap.chunk_sectors()),
+                        (pa.disk, u64::from(pa.slot) * remap.chunk_sectors()),
+                    ]
+                }
+            };
+            let first = self.next_req_id;
+            let mut out = Vec::new();
+            for (disk, sector) in targets {
+                self.make_pieces(now, disk, sector, chunk_sectors, IoKind::Write, &mut out);
+            }
+            self.active[pos].1.phase = self.phase_since(true, first);
+            return out;
+        }
+        // Job complete: commit unless dirtied.
+        let (_, job) = self.active.remove(pos);
+        let chunk_bytes = remap.chunk_sectors() * 512;
+        if job.dirty {
+            self.stats.aborted += 1;
+            if let (MigrationJob::Relocate { dst, .. }, Some(slot)) = (job.job, job.reserved_slot) {
+                remap.release_slot(dst, slot);
+            }
+            let chunk = Self::record_chunk(&job.job);
+            self.record(now, job_id, MigrationRecordKind::Aborted { chunk });
+        } else {
+            match job.job {
+                MigrationJob::Rebuild { chunk, src, dst } => {
+                    let slot = job.reserved_slot.expect("slot reserved");
+                    remap.relocate(chunk, dst, slot);
+                    self.stats.rebuilt += 1;
+                    self.active_rebuilds -= 1;
+                    self.record(
                         now,
-                        disk,
-                        sector,
-                        chunk_sectors,
-                        IoKind::Write,
                         job_id,
-                        &mut out,
+                        MigrationRecordKind::Moved {
+                            chunk: u64::from(chunk.0),
+                            src: src.index() as u32,
+                            dst: dst.index() as u32,
+                            bytes: chunk_bytes,
+                            kind: MoveKind::Rebuild,
+                        },
                     );
                 }
-                // Reborrow the job (make_pieces needed &mut self).
-                let job = self.active.get_mut(job_id).expect("job still active");
-                job.phase = Phase::Writing { remaining: count };
-                out
-            }
-            Phase::Writing { remaining } => {
-                *remaining -= 1;
-                if *remaining > 0 {
-                    return Vec::new();
+                MigrationJob::Relocate { chunk, dst } => {
+                    let src = remap.disk_of(chunk);
+                    let slot = job.reserved_slot.expect("slot reserved");
+                    remap.relocate(chunk, dst, slot);
+                    self.stats.committed += 1;
+                    self.record(
+                        now,
+                        job_id,
+                        MigrationRecordKind::Moved {
+                            chunk: u64::from(chunk.0),
+                            src: src.index() as u32,
+                            dst: dst.index() as u32,
+                            bytes: chunk_bytes,
+                            kind: MoveKind::Relocate,
+                        },
+                    );
                 }
-                // Job complete: commit unless dirtied.
-                let job = self.active.remove(job_id).expect("job vanished");
-                let chunk_bytes = remap.chunk_sectors() * 512;
-                if job.dirty {
-                    self.stats.aborted += 1;
-                    if let (MigrationJob::Relocate { dst, .. }, Some(slot)) =
-                        (job.job, job.reserved_slot)
-                    {
-                        remap.release_slot(dst, slot);
-                    }
-                    let chunk = Self::record_chunk(&job.job);
-                    self.record(now, job_id, MigrationRecordKind::Aborted { chunk });
-                } else {
-                    match job.job {
-                        MigrationJob::Rebuild { chunk, src, dst } => {
-                            let slot = job.reserved_slot.expect("slot reserved");
-                            remap.relocate(chunk, dst, slot);
-                            self.stats.rebuilt += 1;
-                            self.active_rebuilds -= 1;
-                            self.record(
-                                now,
-                                job_id,
-                                MigrationRecordKind::Moved {
-                                    chunk: u64::from(chunk.0),
-                                    src: src.index() as u32,
-                                    dst: dst.index() as u32,
-                                    bytes: chunk_bytes,
-                                    kind: MoveKind::Rebuild,
-                                },
-                            );
-                        }
-                        MigrationJob::Relocate { chunk, dst } => {
-                            let src = remap.disk_of(chunk);
-                            let slot = job.reserved_slot.expect("slot reserved");
-                            remap.relocate(chunk, dst, slot);
-                            self.stats.committed += 1;
-                            self.record(
-                                now,
-                                job_id,
-                                MigrationRecordKind::Moved {
-                                    chunk: u64::from(chunk.0),
-                                    src: src.index() as u32,
-                                    dst: dst.index() as u32,
-                                    bytes: chunk_bytes,
-                                    kind: MoveKind::Relocate,
-                                },
-                            );
-                        }
-                        MigrationJob::Swap { a, b } => {
-                            // Placements may have degenerated (e.g. a
-                            // foreground-triggered abort path elsewhere);
-                            // a same-disk pair is a no-op, not a panic.
-                            let (da, db) = (remap.disk_of(a), remap.disk_of(b));
-                            if da != db {
-                                remap.swap(a, b);
-                                self.stats.committed += 1;
-                                self.record(
-                                    now,
-                                    job_id,
-                                    MigrationRecordKind::Moved {
-                                        chunk: u64::from(a.0),
-                                        src: da.index() as u32,
-                                        dst: db.index() as u32,
-                                        bytes: 2 * chunk_bytes,
-                                        kind: MoveKind::Swap,
-                                    },
-                                );
-                            } else {
-                                self.stats.aborted += 1;
-                                self.record(
-                                    now,
-                                    job_id,
-                                    MigrationRecordKind::Aborted {
-                                        chunk: u64::from(a.0),
-                                    },
-                                );
-                            }
-                        }
-                        MigrationJob::RawWrite { disk, sectors, .. } => {
-                            self.stats.raw_writes += 1;
-                            self.record(
-                                now,
-                                job_id,
-                                MigrationRecordKind::Moved {
-                                    chunk: 0,
-                                    src: disk.index() as u32,
-                                    dst: disk.index() as u32,
-                                    bytes: u64::from(sectors) * 512,
-                                    kind: MoveKind::Raw,
-                                },
-                            );
-                        }
+                MigrationJob::Swap { a, b } => {
+                    // Placements may have degenerated (e.g. a
+                    // foreground-triggered abort path elsewhere);
+                    // a same-disk pair is a no-op, not a panic.
+                    let (da, db) = (remap.disk_of(a), remap.disk_of(b));
+                    if da != db {
+                        remap.swap(a, b);
+                        self.stats.committed += 1;
+                        self.record(
+                            now,
+                            job_id,
+                            MigrationRecordKind::Moved {
+                                chunk: u64::from(a.0),
+                                src: da.index() as u32,
+                                dst: db.index() as u32,
+                                bytes: 2 * chunk_bytes,
+                                kind: MoveKind::Swap,
+                            },
+                        );
+                    } else {
+                        self.stats.aborted += 1;
+                        self.record(
+                            now,
+                            job_id,
+                            MigrationRecordKind::Aborted {
+                                chunk: u64::from(a.0),
+                            },
+                        );
                     }
                 }
-                Vec::new()
+                MigrationJob::RawWrite { disk, sectors, .. } => {
+                    self.stats.raw_writes += 1;
+                    self.record(
+                        now,
+                        job_id,
+                        MigrationRecordKind::Moved {
+                            chunk: 0,
+                            src: disk.index() as u32,
+                            dst: disk.index() as u32,
+                            bytes: u64::from(sectors) * 512,
+                            kind: MoveKind::Raw,
+                        },
+                    );
+                }
             }
         }
+        Vec::new()
     }
 
     /// Tears down migration state after `disk` fails. Pending jobs touching
@@ -853,33 +825,17 @@ impl MigrationEngine {
         }
         self.rebuild_pending = keep;
 
-        // Active jobs touching the disk: aborted mid-copy. Map iteration is
-        // slot-ordered, not id-ordered — sort so the Dropped records and
-        // stats fold in a canonical order regardless of table history.
-        let mut doomed: Vec<u64> = self
+        // Active jobs touching the disk: aborted mid-copy, in job-id order.
+        let doomed: Vec<(u64, ActiveJob)> = self
             .active
-            .iter()
-            .filter(|(_, a)| touches(&a.job, remap))
-            .map(|(id, _)| id)
+            .extract_if(.., |(_, a)| touches(&a.job, remap))
             .collect();
-        doomed.sort_unstable();
-        for job_id in doomed {
-            let job = self.active.remove(job_id).expect("doomed job present");
+        for (job_id, job) in doomed {
             let chunk = Self::record_chunk(&job.job);
             self.record(now, job_id, MigrationRecordKind::Dropped { chunk });
             // Outstanding pieces on surviving disks will still complete;
-            // mark them orphans so those completions are swallowed.
-            let mut outstanding: Vec<u64> = self
-                .request_to_job
-                .iter()
-                .filter(|(_, j)| **j == job_id)
-                .map(|(r, _)| r)
-                .collect();
-            outstanding.sort_unstable();
-            for req_id in outstanding {
-                self.request_to_job.remove(req_id);
-                self.orphaned.insert(req_id);
-            }
+            // orphan the batch so those completions are swallowed.
+            self.orphaned.push(job.phase.ids);
             match job.job {
                 MigrationJob::Relocate { dst, .. } => {
                     if let Some(slot) = job.reserved_slot {
@@ -944,7 +900,7 @@ mod tests {
             ));
         }
         if dirty_after_read {
-            let job = engine.active.values().next().unwrap().job;
+            let job = engine.active[0].1.job;
             match job {
                 MigrationJob::Relocate { chunk, .. } => engine.note_foreground_write(chunk),
                 MigrationJob::Swap { a, .. } => engine.note_foreground_write(a),

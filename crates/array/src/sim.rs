@@ -28,9 +28,7 @@
 //! `on_disk_failure`) conservatively mark every disk, so policies may
 //! mutate spindles directly there; per-event hooks must go through
 //! [`ArrayState::request_speed`]. Debug builds cross-check the dirty set
-//! against a full scan after every resync, and
-//! [`RunOptions::reference_full_resync`] retains the full-scan path for
-//! equivalence testing.
+//! against a full scan after every resync.
 //!
 //! # Hot-path structure
 //!
@@ -43,14 +41,16 @@
 //!   the very next pop anyway, [`Self::handle_arrival`] processes it
 //!   inline, reserving its `(time, seq)` queue key so ordering and event
 //!   counts match the queued path exactly.
-//! * In-flight request state (piece→volume gather, pending volumes) lives
-//!   in [`simkit::Slab`] arenas whose slot indices *are* the request ids,
-//!   so the per-request maps never hash and never grow past peak
-//!   concurrency.
+//! * In-flight request state (pieces with their retry counts, pending
+//!   volumes) lives in [`simkit::Slab`] arenas whose slot indices *are*
+//!   the request ids, so the per-request maps never hash and never grow
+//!   past peak concurrency.
 //!
-//! [`RunOptions::reference_heap_queue`] retains the heap backend and the
-//! unbatched admission path; `tests/queue_equivalence.rs` pins the two
-//! configurations to bit-identical output across every headline policy.
+//! [`RunOptions::reference`] swaps every optimisation for its reference:
+//! the full-scan resync, the heap backend and per-event admission.
+//! `tests/queue_equivalence.rs` pins the two modes to bit-identical
+//! reports and telemetry across every headline policy, faulted RAID-5
+//! runs and fleets.
 
 use crate::migration::{MigrationJob, MigrationStats};
 use crate::policy::{ArrayState, PowerPolicy, WakeMarks};
@@ -61,8 +61,8 @@ use crate::MigrationEngine;
 use diskmodel::{Disk, DiskRequest, IoKind, RequestClass};
 use faults::{FaultInjector, FaultKind, FaultOutcome, FaultPlan, ReliabilityLedger};
 use simkit::{
-    EnergyLedger, EventQueue, IdMap, LatencyHistogram, Moments, QueueBackend, SimDuration, SimTime,
-    Slab, TimeSeries,
+    EnergyLedger, EventQueue, LatencyHistogram, Moments, QueueBackend, SimDuration, SimTime, Slab,
+    TimeSeries,
 };
 use workload::{Trace, TraceSource, VolumeIoKind, VolumeRequest};
 
@@ -89,17 +89,13 @@ pub struct RunOptions {
     /// request path untouched, bit-identically to the pre-cache
     /// simulator.
     pub cache: Option<cache::CacheConfig>,
-    /// Use the pre-optimisation full-scan wake resync instead of
-    /// dirty-disk tracking. The two paths must produce bit-identical
-    /// results; this flag exists as the reference for equivalence tests
-    /// and for measuring the optimisation's effect.
-    pub reference_full_resync: bool,
-    /// Use the reference `BinaryHeap` event-queue backend and per-event
-    /// request admission instead of the ladder queue with batched
-    /// admission. The two configurations must produce bit-identical
-    /// results; this flag exists as the reference for equivalence tests
-    /// and for measuring the optimisation's effect.
-    pub reference_heap_queue: bool,
+    /// Run the reference implementations of the hot path: the full-scan
+    /// wake resync instead of dirty-disk tracking, and the `BinaryHeap`
+    /// event queue with per-event request admission instead of the ladder
+    /// queue with batched admission. Both modes must produce bit-identical
+    /// results; this flag exists as the oracle for equivalence tests and
+    /// for measuring the optimisations' effect.
+    pub reference: bool,
     /// Volume sectors per tenant: when `Some(n)`, the volume is viewed as
     /// consecutive `n`-sector tenant shards (tenant = sector / n) and the
     /// driver keeps one response histogram per tenant in
@@ -123,8 +119,7 @@ impl RunOptions {
             faults: None,
             telemetry: None,
             cache: None,
-            reference_full_resync: false,
-            reference_heap_queue: false,
+            reference: false,
             tenant_sectors: None,
         }
     }
@@ -232,10 +227,19 @@ struct RetryPayload {
     req: DiskRequest,
 }
 
-/// `gather` value for pieces that gate no volume response (parity and
+/// `Piece::parent` of pieces that gate no volume response (parity and
 /// deferred cache writes): they hold a request-id slot while in flight
 /// but point at no pending volume.
 const NO_PARENT: u32 = u32::MAX;
+
+/// One in-flight foreground disk request, stored in `gather` under its
+/// request id.
+struct Piece {
+    /// Pending-volume slot this piece gates, or `NO_PARENT`.
+    parent: u32,
+    /// Transient-error retries spent so far; dies with the slot.
+    attempts: u32,
+}
 
 struct PendingVolume {
     /// Pieces of this volume not yet dead or completed — the slot's
@@ -369,11 +373,10 @@ pub struct Simulation<'a, P: PowerPolicy> {
     events: EventQueue<Event>,
     scheduled: Vec<Option<SimTime>>,
     gens: Vec<u64>,
-    /// Piece → pending-volume slot, keyed by the piece's request id —
-    /// which *is* its slab slot, so the map never hashes. `NO_PARENT`
-    /// marks parity/deferred pieces that gate nothing.
-    gather: Slab<u32>,
-    /// In-flight volumes, keyed by slab slot (the `gather` values).
+    /// In-flight pieces, keyed by request id — which *is* the slab slot,
+    /// so the map never hashes.
+    gather: Slab<Piece>,
+    /// In-flight volumes, keyed by slab slot (the pieces' `parent`).
     pending: Slab<PendingVolume>,
     /// Pending volumes neither completed nor lost — the report's
     /// `incomplete` count. (`pending` itself also holds lost volumes
@@ -394,8 +397,6 @@ pub struct Simulation<'a, P: PowerPolicy> {
     victim_scratch: Vec<u32>,
     injector: Option<FaultInjector>,
     outcome: FaultOutcome,
-    /// Transient-retry attempts per foreground request id.
-    retries: IdMap<u32>,
     last_hazard_check: SimTime,
     events_processed: u64,
     /// `outcome.rebuild_chunks` value at the last recorded backlog drain,
@@ -495,7 +496,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
         // and the in-flight maps hold only queued work — capped so a huge
         // trace does not balloon the warm-up allocation.
         let inflight_hint = (trace_hint / 8).clamp(64, 4096);
-        let backend = if opts.reference_heap_queue {
+        let backend = if opts.reference {
             QueueBackend::ReferenceHeap
         } else {
             QueueBackend::Ladder
@@ -533,7 +534,6 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
             victim_scratch: Vec::new(),
             injector,
             outcome: FaultOutcome::default(),
-            retries: IdMap::new(),
             last_hazard_check: SimTime::ZERO,
             events_processed: 0,
             rebuilds_drained: 0,
@@ -742,7 +742,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
             // skip the queue round-trip. `events_processed` counts it
             // exactly as a pop would, so reports stay identical.
             let pops_next = self.events.peek_key().is_none_or(|k| key < k);
-            if pops_next && t <= limit && !self.opts.reference_heap_queue {
+            if pops_next && t <= limit && !self.opts.reference {
                 self.events_processed += 1;
                 now = t;
             } else {
@@ -825,7 +825,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
             } else {
                 target_disk.index()
             };
-            let id = u64::from(self.gather.insert(parent));
+            let id = self.new_piece(parent);
             let sub = DiskRequest {
                 id,
                 sector: phys,
@@ -846,7 +846,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                         // Gathered under NO_PARENT: parity does not gate
                         // response (write-back parity), but it does consume
                         // disk time and energy.
-                        let pid = u64::from(self.gather.insert(NO_PARENT));
+                        let pid = self.new_piece(NO_PARENT);
                         let parity = DiskRequest {
                             id: pid,
                             sector: phys,
@@ -1043,7 +1043,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
         } else {
             target_disk.index()
         };
-        let id = u64::from(self.gather.insert(NO_PARENT));
+        let id = self.new_piece(NO_PARENT);
         let sub = DiskRequest {
             id,
             sector: phys,
@@ -1057,7 +1057,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
         self.state.migrator.note_foreground_write(chunk);
         if self.state.config.redundancy == Redundancy::Raid5Like {
             if let Some(p) = self.alive_partner(place.disk.index(), chunk) {
-                let pid = u64::from(self.gather.insert(NO_PARENT));
+                let pid = self.new_piece(NO_PARENT);
                 let parity = DiskRequest {
                     id: pid,
                     sector: phys,
@@ -1084,6 +1084,25 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
         (0..n)
             .map(|k| (base + k) % n)
             .find(|&p| p != d && !self.state.disks[p].has_failed())
+    }
+
+    /// Hands out the request id of a new in-flight piece gating `parent`.
+    fn new_piece(&mut self, parent: u32) -> u64 {
+        u64::from(self.gather.insert(Piece {
+            parent,
+            attempts: 0,
+        }))
+    }
+
+    /// Kills in-flight piece `id` (no surviving replica, or retries
+    /// exhausted): frees its slot, and loses the volume it gated.
+    fn drop_piece(&mut self, id: u64) {
+        if let Some(Piece { parent, .. }) = self.gather.remove(id as u32) {
+            if parent != NO_PARENT {
+                self.lose_parent(parent);
+                self.release_piece(parent);
+            }
+        }
     }
 
     /// Abandons volume `parent`: its response can never be recorded.
@@ -1138,11 +1157,14 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                     if let Some(inj) = self.injector.as_mut() {
                         if inj.transient_error(now, comp.disk) {
                             self.outcome.transient_errors += 1;
-                            let attempts = self.retries.get_or_insert_with(comp.request.id, || 0);
                             let cfg = inj.config();
-                            if *attempts < cfg.max_retries {
-                                *attempts += 1;
-                                let delay = f64::from(*attempts) * cfg.retry_backoff_s;
+                            let piece = self
+                                .gather
+                                .get_mut(comp.request.id as u32)
+                                .expect("foreground piece in flight");
+                            if piece.attempts < cfg.max_retries {
+                                piece.attempts += 1;
+                                let delay = f64::from(piece.attempts) * cfg.retry_backoff_s;
                                 self.outcome.retries += 1;
                                 self.events.push(
                                     now + SimDuration::from_secs(delay),
@@ -1153,17 +1175,9 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                                 );
                             } else {
                                 // Retries exhausted: the piece is lost.
-                                self.retries.remove(comp.request.id);
-                                if let Some(parent) = self.gather.remove(comp.request.id as u32) {
-                                    if parent != NO_PARENT {
-                                        self.lose_parent(parent);
-                                        self.release_piece(parent);
-                                    }
-                                }
+                                self.drop_piece(comp.request.id);
                             }
                             retried = true;
-                        } else {
-                            self.retries.remove(comp.request.id);
                         }
                     }
                     if !retried {
@@ -1184,6 +1198,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
         let volume_response = self
             .gather
             .remove(comp.request.id as u32)
+            .map(|piece| piece.parent)
             .and_then(|parent| {
                 // Parity and deferred cache writes consume disk time but
                 // gate no volume response.
@@ -1321,15 +1336,13 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
             if req.class != RequestClass::Foreground {
                 continue; // migration pieces were handled by the engine
             }
-            let Some(&parent) = self.gather.get(req.id as u32) else {
+            let Some(&Piece { parent, .. }) = self.gather.get(req.id as u32) else {
                 continue;
             };
             if parent == NO_PARENT {
                 // Parity or deferred write: consumed load only, nothing
-                // gates on it — free its slot and drop it. (Stale retry
-                // attempts die with the id: slots recycle.)
+                // gates on it — free its slot and drop it.
                 self.gather.remove(req.id as u32);
-                self.retries.remove(req.id);
                 continue;
             }
             let slot = (req.sector / cs) as u32;
@@ -1343,12 +1356,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                     self.outcome.degraded_redirects += 1;
                     self.state.disks[p].submit(now, req);
                 }
-                None => {
-                    self.gather.remove(req.id as u32);
-                    self.retries.remove(req.id);
-                    self.lose_parent(parent);
-                    self.release_piece(parent);
-                }
+                None => self.drop_piece(req.id),
             }
         }
 
@@ -1422,15 +1430,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                     self.state.disks[p].submit(now, req);
                     self.state.wake_marks.mark(p);
                 }
-                None => {
-                    self.retries.remove(req.id);
-                    if let Some(parent) = self.gather.remove(req.id as u32) {
-                        if parent != NO_PARENT {
-                            self.lose_parent(parent);
-                            self.release_piece(parent);
-                        }
-                    }
-                }
+                None => self.drop_piece(req.id),
             }
         } else {
             self.state.disks[disk].submit(now, req);
@@ -1516,10 +1516,10 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
     /// mark every disk they touch; unchanged marked disks are no-ops), and
     /// index order matches the full scan — so the push sequence into the
     /// event queue, and with it FIFO tie-breaking among same-time wakes,
-    /// is bit-identical to [`RunOptions::reference_full_resync`]. Debug
+    /// is bit-identical to the full scan of [`RunOptions::reference`]. Debug
     /// builds verify the subset property after every drain.
     fn resync(&mut self, now: SimTime) {
-        if self.opts.reference_full_resync {
+        if self.opts.reference {
             for d in 0..self.state.disks.len() {
                 self.resync_disk(d, now);
             }

@@ -8,9 +8,7 @@ use array::{ChunkId, HeatMap};
 use bench::{criterion_group, criterion_main, Criterion};
 use diskmodel::{Disk, DiskRequest, DiskSpec, IoKind, RequestClass, ServiceModel, SpeedLevel};
 use hibernator::{AllocationInput, ServiceEstimator, SpeedAllocator};
-use simkit::{
-    DetRng, EventQueue, IdMap, LatencyHistogram, Moments, SimDuration, SimTime, SlidingWindow,
-};
+use simkit::{DetRng, EventQueue, LatencyHistogram, Moments, SimDuration, SimTime, SlidingWindow};
 use std::hint::black_box;
 use workload::ZipfExtents;
 
@@ -45,38 +43,6 @@ fn event_queue_ties(c: &mut Criterion) {
             let mut acc = 0usize;
             while let Some((_, p)) = q.pop() {
                 acc = acc.wrapping_add(p);
-            }
-            black_box(acc)
-        })
-    });
-}
-
-fn idmap_churn(c: &mut Criterion) {
-    // The driver's pending/gather maps: sequential ids inserted and
-    // removed in a sliding window, the in-flight-request lifecycle.
-    let mut rng = DetRng::new(6, "bench-idmap");
-    let values: Vec<u64> = (0..1024).map(|_| rng.below(1 << 20)).collect();
-    c.bench_function("idmap_sliding_churn_1k", |b| {
-        b.iter(|| {
-            let mut m: IdMap<u64> = IdMap::with_capacity(256);
-            for (i, &v) in values.iter().enumerate() {
-                m.insert(i as u64, v);
-                if i >= 64 {
-                    black_box(m.remove(i as u64 - 64));
-                }
-            }
-            black_box(m.len())
-        })
-    });
-    c.bench_function("idmap_lookup_hit_1k", |b| {
-        let mut m: IdMap<u64> = IdMap::with_capacity(1024);
-        for (i, &v) in values.iter().enumerate() {
-            m.insert(i as u64, v);
-        }
-        b.iter(|| {
-            let mut acc = 0u64;
-            for i in 0..1024u64 {
-                acc = acc.wrapping_add(*m.get(i).unwrap());
             }
             black_box(acc)
         })
@@ -266,7 +232,6 @@ criterion_group!(
     micro,
     event_queue,
     event_queue_ties,
-    idmap_churn,
     service_model,
     disk_service_loop,
     statistics,

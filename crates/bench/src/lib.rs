@@ -3,8 +3,7 @@
 //! The workspace builds in environments with no access to crates.io, so the
 //! benches in `benches/` run on this self-contained shim instead of the
 //! `criterion` crate. It reproduces the small slice of Criterion's API the
-//! benches use — [`Criterion::bench_function`], benchmark groups,
-//! [`Bencher::iter`], and the `criterion_group!`/`criterion_main!` macros —
+//! benches use — [`Criterion::bench_function`], [`Bencher::iter`], and the `criterion_group!`/`criterion_main!` macros —
 //! and reports mean wall-clock time per iteration on stdout. It aims for
 //! useful relative numbers, not Criterion's statistical rigour.
 
@@ -15,10 +14,10 @@ const DEFAULT_SAMPLES: usize = 10;
 
 /// Top-level benchmark driver, mirroring `criterion::Criterion`.
 pub struct Criterion {
+    /// Timed iterations per benchmark. Under `cargo test` (cargo passes
+    /// `--test` to harness-less bench binaries) every benchmark runs
+    /// exactly once as a smoke test.
     samples: usize,
-    /// Under `cargo test` (cargo passes `--test` to harness-less bench
-    /// binaries) every benchmark runs exactly once as a smoke test.
-    test_mode: bool,
 }
 
 impl Default for Criterion {
@@ -33,7 +32,6 @@ impl Criterion {
         let test_mode = std::env::args().any(|a| a == "--test");
         Criterion {
             samples: if test_mode { 1 } else { DEFAULT_SAMPLES },
-            test_mode,
         }
     }
 
@@ -45,47 +43,6 @@ impl Criterion {
         run_one(name, self.samples, &mut f);
         self
     }
-
-    /// Opens a named group of benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            prefix: name.to_string(),
-            samples: self.samples,
-            test_mode: self.test_mode,
-            _parent: self,
-        }
-    }
-}
-
-/// A named group of related benchmarks, mirroring Criterion's group API.
-pub struct BenchmarkGroup<'a> {
-    prefix: String,
-    samples: usize,
-    test_mode: bool,
-    _parent: &'a mut Criterion,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the per-benchmark sample count (ignored in `--test` smoke mode).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        if !self.test_mode {
-            self.samples = n.max(2);
-        }
-        self
-    }
-
-    /// Runs one named benchmark within the group.
-    pub fn bench_function<S: AsRef<str>, F>(&mut self, name: S, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let full = format!("{}/{}", self.prefix, name.as_ref());
-        run_one(&full, self.samples, &mut f);
-        self
-    }
-
-    /// Ends the group (no-op; exists for API compatibility).
-    pub fn finish(self) {}
 }
 
 /// Passed to each benchmark closure; call [`Bencher::iter`] with the body.

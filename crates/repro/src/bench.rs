@@ -14,11 +14,11 @@
 //!
 //! Results land in `BENCH_hotpath.json` together with the recorded
 //! pre-optimization baselines, so the speedup trajectory is tracked in one
-//! file. `--reference` re-runs every simulation in full reference mode —
-//! the full-scan wake resync ([`array::RunOptions::reference_full_resync`])
-//! *and* the `BinaryHeap` event queue with per-event admission
-//! ([`array::RunOptions::reference_heap_queue`]) — for an apples-to-apples
-//! measure of the combined hot-path wins.
+//! file. `--reference` re-runs every simulation in reference mode
+//! ([`array::RunOptions::reference`]: the full-scan wake resync *and* the
+//! `BinaryHeap` event queue with per-event admission) for an
+//! apples-to-apples measure of the combined hot-path wins. The records
+//! keep one key per oracle, both written from that one flag.
 //!
 //! The **fleet bench** ([`fleet_bench`]) then times three fleet shapes (4,
 //! 64, and 256 arrays) serially and parallel through the persistent-worker
@@ -483,15 +483,14 @@ fn render_fleet_json(results: &[FleetResult], seed: u64, iters: usize, reference
 }
 
 /// Base run options for the bench (standard quick-scale settings plus the
-/// reference toggles; telemetry stays off — it is benchmarked by its own
-/// lockdown suite). Reference mode turns on both the full-scan wake
-/// resync and the `BinaryHeap` queue with per-event admission, i.e. the
-/// hot path as it was before either overhaul.
+/// reference switch; telemetry stays off — it is benchmarked by its own
+/// lockdown suite). Reference mode runs the hot path as it was before
+/// the resync and queue overhauls.
 fn bench_opts(ctx: &Ctx, reference: bool) -> RunOptions {
-    let mut o = ctx.run_options();
-    o.reference_full_resync = reference;
-    o.reference_heap_queue = reference;
-    o
+    RunOptions {
+        reference,
+        ..ctx.run_options()
+    }
 }
 
 /// Runs Base untimed and derives the calibrated goal from its mean

@@ -20,7 +20,7 @@
 //!   pattern of a forward-running simulation.
 //! * [`QueueBackend::ReferenceHeap`] — the original `BinaryHeap`, kept
 //!   runnable so differential tests can pin the ladder to it bit-for-bit
-//!   (the `reference_full_resync` idiom).
+//!   (the simulator selects it with `RunOptions::reference`).
 //!
 //! Keys are totally ordered (the sequence number makes them unique), so the
 //! two backends pop identical streams for identical push sequences — the

@@ -7,8 +7,6 @@
 //!   simulated timeline in seconds.
 //! * **Events** — [`EventQueue`], a deterministic priority queue with FIFO
 //!   tie-breaking so simulations replay bit-identically.
-//! * **Id maps** — [`IdMap`], a one-multiply open-addressed map for the
-//!   sequential ids the simulator assigns on its hot path.
 //! * **Slabs** — [`Slab`], a free-list arena whose slot indices double as
 //!   the ids of in-flight records, killing per-request allocation.
 //! * **Randomness** — [`DetRng`], labelled deterministic random streams
@@ -26,7 +24,6 @@
 
 mod energy;
 mod events;
-mod idmap;
 mod ladder;
 mod rng;
 mod series;
@@ -36,7 +33,6 @@ mod time;
 
 pub use energy::{EnergyComponent, EnergyLedger};
 pub use events::{EventQueue, QueueBackend};
-pub use idmap::IdMap;
 pub use rng::DetRng;
 pub use series::{SeriesBucket, TimeSeries};
 pub use slab::Slab;
