@@ -253,71 +253,136 @@ impl DramCache {
 /// Directory for a cache-disk tier: an LRU map from chunk to a
 /// `(disk, slot)` location on one of the dedicated cache disks.
 ///
-/// This is the tier MAID routes read hits through. The `HashMap` is only
-/// ever point-queried (never iterated), so its seeded layout cannot leak
-/// into simulation state.
+/// This is the tier MAID routes read hits through. The LRU order is an
+/// intrusive doubly linked list over `nodes` (head = coldest, tail = MRU),
+/// so a hit and an eviction are both O(1), and a full tier reuses the
+/// evicted node in place without allocating. Slots are handed out
+/// disk-0-first, low slots first, and never returned, so node `i` always
+/// sits at slot `i % chunks_per_disk` of `cache_disks[i / chunks_per_disk]`.
+/// The `HashMap` is only ever point-queried (never iterated), so its
+/// seeded layout cannot leak into simulation state.
 #[derive(Debug)]
 pub struct TierDirectory {
-    /// chunk → (cache disk, slot)
-    entries: std::collections::HashMap<u32, (u32, u32)>,
-    /// LRU order: front = coldest. Vec-based LRU is fine at these sizes
-    /// (thousands of entries, touched per request).
-    lru: Vec<u32>,
-    capacity: usize,
-    /// Free (disk, slot) pairs, handed out disk-0-first, low slots first.
-    free: Vec<(u32, u32)>,
+    /// chunk → index into `nodes`
+    entries: std::collections::HashMap<u32, u32>,
+    /// One node per occupied slot, in slot order.
+    nodes: Vec<Node>,
+    /// Coldest node, or [`NIL`] when empty.
+    head: u32,
+    /// Most recently used node, or [`NIL`] when empty.
+    tail: u32,
+    cache_disks: Vec<u32>,
+    chunks_per_disk: u32,
+}
+
+/// End-of-list marker for [`TierDirectory`]'s node links.
+const NIL: u32 = u32::MAX;
+
+/// One occupied tier slot and its LRU neighbours.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    chunk: u32,
+    /// Next-colder node.
+    prev: u32,
+    /// Next-warmer node.
+    next: u32,
 }
 
 impl TierDirectory {
     /// Builds a directory over `cache_disks`, each holding
     /// `chunks_per_disk` slots.
+    ///
+    /// # Panics
+    /// Panics if the tier has no slots (no cache disks, or none of their
+    /// chunks), or more slots than a `u32` can index.
     pub fn new(cache_disks: &[u32], chunks_per_disk: u32) -> TierDirectory {
-        let mut free = Vec::new();
-        // Reverse so pop() hands out disk-0-first, low slots first.
-        for &d in cache_disks.iter().rev() {
-            for s in (0..chunks_per_disk).rev() {
-                free.push((d, s));
-            }
-        }
+        let capacity = cache_disks.len() * chunks_per_disk as usize;
+        assert!(
+            capacity > 0,
+            "cache tier needs at least one slot ({} cache_disks × {chunks_per_disk} \
+             cache_chunks_per_disk)",
+            cache_disks.len()
+        );
+        assert!(
+            capacity < NIL as usize,
+            "cache tier of {capacity} slots overflows its u32 node index"
+        );
         TierDirectory {
-            entries: std::collections::HashMap::new(),
-            lru: Vec::new(),
-            capacity: cache_disks.len() * chunks_per_disk as usize,
-            free,
+            entries: std::collections::HashMap::with_capacity(capacity),
+            nodes: Vec::with_capacity(capacity),
+            head: NIL,
+            tail: NIL,
+            cache_disks: cache_disks.to_vec(),
+            chunks_per_disk,
         }
     }
 
     /// The tier location holding a copy of `chunk`, if any; touches it to
     /// MRU.
     pub fn lookup(&mut self, chunk: u32) -> Option<(u32, u32)> {
-        let hit = self.entries.get(&chunk).copied();
-        if hit.is_some() {
-            // Move to MRU position.
-            if let Some(pos) = self.lru.iter().position(|&c| c == chunk) {
-                let c = self.lru.remove(pos);
-                self.lru.push(c);
-            }
+        let node = *self.entries.get(&chunk)?;
+        if node != self.tail {
+            self.unlink(node);
+            self.push_tail(node);
         }
-        hit
+        Some(self.location(node))
     }
 
     /// Inserts `chunk`, evicting the LRU entry if full. Returns the slot
-    /// the copy must be written to.
+    /// the copy must be written to. Re-inserting a resident chunk returns
+    /// its slot and leaves the LRU order alone.
     pub fn insert(&mut self, chunk: u32) -> (u32, u32) {
-        if let Some(&loc) = self.entries.get(&chunk) {
-            return loc;
+        if let Some(&node) = self.entries.get(&chunk) {
+            return self.location(node);
         }
-        let loc = if self.entries.len() < self.capacity {
-            self.free.pop().expect("capacity accounted")
+        let node = if self.nodes.len() < self.capacity() {
+            self.nodes.push(Node {
+                chunk,
+                prev: NIL,
+                next: NIL,
+            });
+            (self.nodes.len() - 1) as u32
         } else {
-            let victim = self.lru.remove(0);
-            self.entries
-                .remove(&victim)
-                .expect("victim must be present")
+            let victim = self.head;
+            self.entries.remove(&self.nodes[victim as usize].chunk);
+            self.unlink(victim);
+            self.nodes[victim as usize].chunk = chunk;
+            victim
         };
-        self.entries.insert(chunk, loc);
-        self.lru.push(chunk);
-        loc
+        self.push_tail(node);
+        self.entries.insert(chunk, node);
+        self.location(node)
+    }
+
+    /// The `(disk, slot)` of `node`.
+    fn location(&self, node: u32) -> (u32, u32) {
+        let disk = self.cache_disks[(node / self.chunks_per_disk) as usize];
+        (disk, node % self.chunks_per_disk)
+    }
+
+    /// Detaches `node` from the LRU list.
+    fn unlink(&mut self, node: u32) {
+        let Node { prev, next, .. } = self.nodes[node as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Appends a detached `node` at the MRU end.
+    fn push_tail(&mut self, node: u32) {
+        let tail = self.tail;
+        self.nodes[node as usize].prev = tail;
+        self.nodes[node as usize].next = NIL;
+        match tail {
+            NIL => self.head = node,
+            t => self.nodes[t as usize].next = node,
+        }
+        self.tail = node;
     }
 
     /// Number of chunks currently cached in the tier.
@@ -332,7 +397,7 @@ impl TierDirectory {
 
     /// Total slots across all cache disks.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.cache_disks.len() * self.chunks_per_disk as usize
     }
 }
 
@@ -468,5 +533,125 @@ mod tests {
         let loc = dir.insert(11);
         assert_eq!(dir.insert(11), loc, "re-insert keeps the slot");
         assert_eq!(dir.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache_chunks_per_disk")]
+    fn tier_without_chunks_is_rejected() {
+        TierDirectory::new(&[4, 5], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "0 cache_disks")]
+    fn tier_without_disks_is_rejected() {
+        TierDirectory::new(&[], 2048);
+    }
+
+    /// The `Vec`-ordered LRU directory the intrusive list replaced: front
+    /// of `lru` = coldest, and a stack of free slots handed out
+    /// disk-0-first. Every call scans `lru`, so it serves only as the
+    /// oracle [`TierDirectory`] must match call for call.
+    struct VecTierDirectory {
+        entries: std::collections::HashMap<u32, (u32, u32)>,
+        lru: Vec<u32>,
+        capacity: usize,
+        free: Vec<(u32, u32)>,
+    }
+
+    impl VecTierDirectory {
+        fn new(cache_disks: &[u32], chunks_per_disk: u32) -> Self {
+            let mut free = Vec::new();
+            for &d in cache_disks.iter().rev() {
+                for s in (0..chunks_per_disk).rev() {
+                    free.push((d, s));
+                }
+            }
+            VecTierDirectory {
+                entries: std::collections::HashMap::new(),
+                lru: Vec::new(),
+                capacity: cache_disks.len() * chunks_per_disk as usize,
+                free,
+            }
+        }
+
+        fn lookup(&mut self, chunk: u32) -> Option<(u32, u32)> {
+            let hit = self.entries.get(&chunk).copied();
+            if hit.is_some() {
+                let pos = self.lru.iter().position(|&c| c == chunk).unwrap();
+                let c = self.lru.remove(pos);
+                self.lru.push(c);
+            }
+            hit
+        }
+
+        fn insert(&mut self, chunk: u32) -> (u32, u32) {
+            if let Some(&loc) = self.entries.get(&chunk) {
+                return loc;
+            }
+            let loc = if self.entries.len() < self.capacity {
+                self.free.pop().unwrap()
+            } else {
+                let victim = self.lru.remove(0);
+                self.entries.remove(&victim).unwrap()
+            };
+            self.entries.insert(chunk, loc);
+            self.lru.push(chunk);
+            loc
+        }
+    }
+
+    #[test]
+    fn tier_matches_vec_lru_oracle() {
+        // Capacities 1, 2, 7 and 6144 (MAID's default 3 × 2048 shape).
+        let shapes: [(&[u32], u32); 4] =
+            [(&[3], 1), (&[3, 8], 1), (&[6], 7), (&[13, 14, 15], 2048)];
+        for (disks, per_disk) in shapes {
+            let capacity = disks.len() as u64 * u64::from(per_disk);
+            // A universe 3.5× the tier, half the draws from a hot set of
+            // half the tier: hits reorder the list, cold draws evict, and
+            // evicted chunks come back.
+            let universe = capacity * 7 / 2;
+            let hot = (capacity / 2).max(1);
+            let steps = 3 * capacity + 6_000;
+            let mut rng = simkit::DetRng::new(capacity, "tier-oracle");
+            let mut dir = TierDirectory::new(disks, per_disk);
+            let mut oracle = VecTierDirectory::new(disks, per_disk);
+            let (mut hits, mut evictions) = (0u64, 0u64);
+            for step in 0..steps {
+                let chunk = if rng.chance(0.5) {
+                    rng.below(hot)
+                } else {
+                    rng.below(universe)
+                } as u32;
+                let ctx = || format!("capacity {capacity}, step {step}, chunk {chunk}");
+                match rng.below(4) {
+                    // Read: MAID's lookup-then-promote path.
+                    0 | 1 => {
+                        let got = dir.lookup(chunk);
+                        assert_eq!(got, oracle.lookup(chunk), "lookup: {}", ctx());
+                        if got.is_some() {
+                            hits += 1;
+                        } else {
+                            evictions += u64::from(dir.len() == dir.capacity());
+                            assert_eq!(dir.insert(chunk), oracle.insert(chunk), "{}", ctx());
+                        }
+                    }
+                    // Write: refresh a resident copy only.
+                    2 => assert_eq!(dir.lookup(chunk), oracle.lookup(chunk), "{}", ctx()),
+                    // Bare insert, resident or not.
+                    _ => {
+                        let resident = oracle.entries.contains_key(&chunk);
+                        evictions += u64::from(!resident && dir.len() == dir.capacity());
+                        assert_eq!(dir.insert(chunk), oracle.insert(chunk), "{}", ctx());
+                    }
+                }
+                assert_eq!(dir.len(), oracle.entries.len(), "len: {}", ctx());
+            }
+            assert!(hits > capacity / 4, "capacity {capacity}: {hits} hits");
+            assert!(
+                evictions > 1_000,
+                "capacity {capacity}: {evictions} evictions"
+            );
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! (trace generation and goal calibration happen *outside* the timed
 //! region, so the numbers isolate simulation cost):
 //!
-//! * **quick_t3** — the full quick-scale T3 grid: 7 policies × 2 workloads
-//!   = 14 runs, the same set `repro --quick --jobs 1 t3` simulates;
+//! * **quick_t3** — the full quick-scale T3 grid: the 7 headline policies
+//!   plus Fixed(slow) × 2 workloads = 16 runs, the same set
+//!   `repro --quick --jobs 1 t3` simulates;
 //! * **fault_storm** — Base + Hibernator riding the scripted fault storm
 //!   on a RAID-5-like array (exercises retry, redirect, and rebuild
 //!   paths);
@@ -14,7 +15,11 @@
 //!
 //! Results land in `BENCH_hotpath.json` together with the recorded
 //! pre-optimization baselines, so the speedup trajectory is tracked in one
-//! file. `--reference` re-runs every simulation in reference mode
+//! file. Both baselines timed a 14-run grid, so the speedups against them
+//! are reported only when quick_t3 times that many runs, and are `null`
+//! (printed "n/a") otherwise.
+//!
+//! `--reference` re-runs every simulation in reference mode
 //! ([`array::RunOptions::reference`]: the full-scan wake resync *and* the
 //! `BinaryHeap` event queue with per-event admission) for an
 //! apples-to-apples measure of the combined hot-path wins. The records
@@ -48,6 +53,9 @@ const BASELINE_QUICK_T3_RUN_SUM_S: f64 = 13.36;
 /// resync already in), measured the same way on the recorded baseline
 /// machine.
 const PRE_LADDER_QUICK_T3_RUN_SUM_S: f64 = 8.38;
+
+/// Runs in the quick-t3 grid both baselines above timed.
+const BASELINE_QUICK_T3_RUNS: usize = 14;
 
 /// CI floor for quick_t3 throughput. Deliberately far below what any
 /// recorded machine measures (the baseline box does several million
@@ -156,15 +164,16 @@ pub fn bench(seed: u64, out: &str, iters: usize, reference: bool, check_floor: b
     std::fs::write(&path, json).expect("write BENCH_hotpath.json");
     println!("  -> {}", path.display());
     for o in &outcomes {
-        let speedup = if o.name == "quick_t3" {
-            format!(
-                " ({:.2}x vs pre-overhaul {BASELINE_QUICK_T3_RUN_SUM_S} s, \
-                 {:.2}x vs pre-ladder {PRE_LADDER_QUICK_T3_RUN_SUM_S} s)",
-                BASELINE_QUICK_T3_RUN_SUM_S / o.mean_wall_s,
-                PRE_LADDER_QUICK_T3_RUN_SUM_S / o.mean_wall_s
-            )
-        } else {
-            String::new()
+        let speedup = match (o.name, baseline_speedups(o)) {
+            ("quick_t3", Some((overhaul, ladder))) => format!(
+                " ({overhaul:.2}x vs pre-overhaul {BASELINE_QUICK_T3_RUN_SUM_S} s, \
+                 {ladder:.2}x vs pre-ladder {PRE_LADDER_QUICK_T3_RUN_SUM_S} s)"
+            ),
+            ("quick_t3", None) => format!(
+                ", speedup n/a (baseline timed {BASELINE_QUICK_T3_RUNS} runs, this run {})",
+                o.runs_per_iter
+            ),
+            _ => String::new(),
         };
         println!(
             "bench {}: mean {:.2} s over {} iter(s), {:.0} events/s{speedup}",
@@ -601,6 +610,17 @@ fn f6_highload(ctx: &Ctx, reference: bool) -> Scenario {
     }
 }
 
+/// quick_t3's speedups against the pre-overhaul and pre-ladder baselines,
+/// or `None` when it timed a different number of runs than they did.
+fn baseline_speedups(o: &Outcome) -> Option<(f64, f64)> {
+    (o.runs_per_iter == BASELINE_QUICK_T3_RUNS).then(|| {
+        (
+            BASELINE_QUICK_T3_RUN_SUM_S / o.mean_wall_s,
+            PRE_LADDER_QUICK_T3_RUN_SUM_S / o.mean_wall_s,
+        )
+    })
+}
+
 /// Hand-rolled JSON (std-only crate): scenarios plus the recorded pre-PR
 /// baseline, so the file is self-contained evidence of the trajectory.
 fn render_json(outcomes: &[Outcome], seed: u64, iters: usize, reference: bool) -> String {
@@ -657,20 +677,48 @@ fn render_json(outcomes: &[Outcome], seed: u64, iters: usize, reference: bool) -
             }
         });
         if o.name == "quick_t3" {
-            let _ = writeln!(
-                s,
-                "      \"speedup_vs_baseline\": {:.3},",
-                BASELINE_QUICK_T3_RUN_SUM_S / o.mean_wall_s
-            );
-            let _ = writeln!(
-                s,
-                "      \"speedup_vs_pre_ladder\": {:.3}",
-                PRE_LADDER_QUICK_T3_RUN_SUM_S / o.mean_wall_s
-            );
+            let (overhaul, ladder) = match baseline_speedups(o) {
+                Some((overhaul, ladder)) => (format!("{overhaul:.3}"), format!("{ladder:.3}")),
+                None => ("null".to_string(), "null".to_string()),
+            };
+            let _ = writeln!(s, "      \"speedup_vs_baseline\": {overhaul},");
+            let _ = writeln!(s, "      \"speedup_vs_pre_ladder\": {ladder}");
         }
         let _ = writeln!(s, "    }}{}", if i + 1 < outcomes.len() { "," } else { "" });
     }
     let _ = writeln!(s, "  ]");
     let _ = writeln!(s, "}}");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn quick_t3_outcome(runs_per_iter: usize) -> Outcome {
+        Outcome {
+            name: "quick_t3",
+            runs_per_iter,
+            iters: 1,
+            mean_wall_s: 6.68,
+            min_wall_s: 6.68,
+            events_per_iter: 1,
+            events_per_sec: 1.0,
+        }
+    }
+
+    #[test]
+    fn speedups_only_against_a_grid_of_the_baselines_size() {
+        let same = quick_t3_outcome(BASELINE_QUICK_T3_RUNS);
+        let (overhaul, ladder) = baseline_speedups(&same).expect("same grid size");
+        assert!((overhaul - 2.0).abs() < 1e-12 && (ladder - 8.38 / 6.68).abs() < 1e-12);
+        let json = render_json(&[same], 42, 1, false);
+        assert!(json.contains("\"speedup_vs_baseline\": 2.000,"), "{json}");
+
+        let wider = quick_t3_outcome(16);
+        assert_eq!(baseline_speedups(&wider), None);
+        let json = render_json(&[wider], 42, 1, false);
+        assert!(json.contains("\"speedup_vs_baseline\": null,"), "{json}");
+        assert!(json.contains("\"speedup_vs_pre_ladder\": null\n"), "{json}");
+    }
 }
