@@ -1748,7 +1748,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                 queue_overflow,
                 moved: mig.committed + mig.rebuilt + mig.raw_writes,
                 remap_version: self.state.remap.version(),
-                dropped: recorder.dropped(),
+                dropped: 0,
             });
         }
 

@@ -2,8 +2,8 @@
 //!
 //! These pin down where the ~2 M events/second of the end-to-end simulator
 //! goes: the event queue, per-request service computation, statistics
-//! recording, popularity sampling, MAID's cache-disk tier directory, and
-//! the once-per-epoch allocator DP.
+//! recording, popularity sampling, MAID's cache-disk tier directory, the
+//! once-per-epoch allocator DP, and telemetry recording and audit.
 
 use array::{ChunkId, HeatMap};
 use bench::{criterion_group, criterion_main, Criterion};
@@ -12,6 +12,7 @@ use diskmodel::{Disk, DiskRequest, DiskSpec, IoKind, RequestClass, ServiceModel,
 use hibernator::{AllocationInput, ServiceEstimator, SpeedAllocator};
 use simkit::{DetRng, EventQueue, LatencyHistogram, Moments, SimDuration, SimTime, SlidingWindow};
 use std::hint::black_box;
+use telemetry::{Event, Recorder, TelemetryConfig};
 use workload::ZipfExtents;
 
 fn event_queue(c: &mut Criterion) {
@@ -262,6 +263,76 @@ fn worker_pool(c: &mut Criterion) {
     });
 }
 
+/// A header, `n` `RequestServed` events with realistic float tails, and
+/// a trailer whose totals reconcile, recorded by an enabled `Recorder`.
+fn served_stream(n: u64) -> Vec<u8> {
+    let mut rng = DetRng::new(7, "bench-telemetry");
+    let mut r = Recorder::new(TelemetryConfig::new("bench/served"));
+    r.emit(Event::RunStart {
+        time_s: 0.0,
+        label: "bench/served".into(),
+        disks: 16,
+        levels: 6,
+        horizon_s: n as f64,
+        migration_inflight: 2,
+        sample_interval_s: 120.0,
+        series_bucket_s: 120.0,
+        goal_s: f64::MAX,
+        warmup_s: 0.0,
+        seed: 7,
+    });
+    for i in 0..n {
+        r.emit(Event::RequestServed {
+            time_s: i as f64 + rng.uniform(0.0, 1.0),
+            latency_us: rng.uniform(500.0, 20_000.0),
+            disk: rng.below(16) as u32,
+            tier: 5,
+        });
+    }
+    for disk in 0..16 {
+        r.emit(Event::DiskSummary {
+            time_s: n as f64,
+            disk,
+            energy_j: [0.0; 6],
+            transitions: 0,
+            failed_at_s: None,
+        });
+    }
+    let hist = r.latency_hist().expect("enabled");
+    let (latency_hist, latency_overflow) = (hist.counts().to_vec(), hist.overflow());
+    r.emit(Event::RunSummary {
+        time_s: n as f64,
+        total_j: 0.0,
+        energy_j: [0.0; 6],
+        completed: n,
+        incomplete: 0,
+        transitions: 0,
+        mean_response_s: 0.0,
+        violation: 0.0,
+        latency_hist,
+        latency_overflow,
+        queue_hist: Vec::new(),
+        queue_overflow: 0,
+        moved: 0,
+        remap_version: 0,
+        dropped: 0,
+    });
+    r.into_stream().expect("enabled").bytes
+}
+
+fn telemetry(c: &mut Criterion) {
+    c.bench_function("telemetry_record_served_100k", |b| {
+        b.iter(|| black_box(served_stream(100_000).len()))
+    });
+    let bytes = served_stream(100_000);
+    assert!(telemetry::audit::audit_bytes(&bytes)
+        .expect("parsable stream")
+        .passed());
+    c.bench_function("audit_served_100k", |b| {
+        b.iter(|| black_box(telemetry::audit::audit_bytes(&bytes).map(|o| o.runs.len())))
+    });
+}
+
 criterion_group!(
     micro,
     event_queue,
@@ -274,5 +345,6 @@ criterion_group!(
     heat_ranking,
     allocator_dp,
     worker_pool,
+    telemetry,
 );
 criterion_main!(micro);

@@ -1,10 +1,10 @@
 //! Replay a serialized event stream and check cross-cutting invariants.
 //!
-//! The auditor is deliberately decoupled from the simulator: it scans the
-//! JSON-lines text directly (same field-scanner idiom as the workload
-//! trace reader) and reconstructs every derived quantity from first
-//! principles — energy totals from per-disk summaries, power integrals
-//! from samples, the goal-violation fraction from individual
+//! The auditor is deliberately decoupled from the simulator: it reads the
+//! JSON-lines text directly, splitting each line once into its top-level
+//! fields into a reused buffer, and reconstructs every derived quantity
+//! from first principles — energy totals from per-disk summaries, power
+//! integrals from samples, the goal-violation fraction from individual
 //! `RequestServed` events — then reconciles them against the stream's own
 //! trailer. A bug in either the emitters or the accounting shows up as a
 //! failed [`Check`], not a silently wrong figure.
@@ -77,88 +77,177 @@ impl AuditOutcome {
     }
 }
 
-/// Scans `line` for `"key":` and returns the raw value text, skipping
-/// over nested arrays/objects and quoted strings.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let (mut depth, mut in_str, mut esc) = (0i32, false, false);
-    for (i, c) in rest.char_indices() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if c == '\\' {
-                esc = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
+/// One line split into its top-level `key → raw value` pairs.
+///
+/// [`Fields::split`] walks the line once, skipping quoted strings and
+/// nested arrays/objects, and keeps each top-level key with its trimmed
+/// raw value text; the typed getters then look keys up among those pairs.
+/// One `Fields` is reused for every line of a stream, so once its buffer
+/// has grown, auditing a line allocates nothing.
+struct Fields<'a> {
+    /// 1-based number of the line held, for errors.
+    line: usize,
+    pairs: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Fields<'a> {
+    fn new() -> Self {
+        Fields {
+            line: 0,
+            pairs: Vec::with_capacity(32),
         }
-        match c {
-            '"' => in_str = true,
-            '[' | '{' => depth += 1,
-            ']' => depth -= 1,
-            '}' => {
-                if depth == 0 {
-                    return Some(rest[..i].trim());
+    }
+
+    /// Replaces the held pairs with those of `text`, line `n`. Anything
+    /// but one JSON object, optionally padded with whitespace, is a parse
+    /// error on line `n`.
+    fn split(&mut self, text: &'a str, n: usize) -> Result<(), AuditError> {
+        let bad = |what: &str| AuditError::Parse(n, format!("malformed JSON object: {what}"));
+        self.line = n;
+        self.pairs.clear();
+        let b = text.as_bytes();
+        let mut i = skip_ws(b, 0);
+        if b.get(i) != Some(&b'{') {
+            return Err(bad("expected '{'"));
+        }
+        i = skip_ws(b, i + 1);
+        if b.get(i) == Some(&b'}') {
+            i += 1;
+        } else {
+            loop {
+                if b.get(i) != Some(&b'"') {
+                    return Err(bad("expected a quoted key"));
                 }
-                depth -= 1;
+                let key_end = string_end(b, i + 1).ok_or_else(|| bad("unterminated string"))?;
+                let key = &text[i + 1..key_end];
+                i = skip_ws(b, key_end + 1);
+                if b.get(i) != Some(&b':') {
+                    return Err(bad("key without ':'"));
+                }
+                let start = i + 1;
+                let mut depth = 0u32;
+                let mut j = start;
+                let end = loop {
+                    match b.get(j) {
+                        None => return Err(bad("missing closing '}'")),
+                        Some(b'"') => {
+                            j = string_end(b, j + 1).ok_or_else(|| bad("unterminated string"))?
+                        }
+                        Some(b'[' | b'{') => depth += 1,
+                        Some(b']' | b'}') if depth > 0 => depth -= 1,
+                        Some(b',' | b'}') if depth == 0 => break j,
+                        Some(b']') => return Err(bad("unbalanced ']'")),
+                        _ => {}
+                    }
+                    j += 1;
+                };
+                self.pairs.push((key, text[start..end].trim()));
+                i = end + 1;
+                if b[end] == b'}' {
+                    break;
+                }
+                i = skip_ws(b, i);
             }
-            ',' if depth == 0 => return Some(rest[..i].trim()),
-            _ => {}
+        }
+        if skip_ws(b, i) != b.len() {
+            return Err(bad("text after the closing '}'"));
+        }
+        Ok(())
+    }
+
+    /// The raw value text of `key` (the first, if repeated).
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.pairs.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+    }
+
+    fn f64_field(&self, key: &str) -> Result<f64, AuditError> {
+        self.get(key)
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| AuditError::Parse(self.line, format!("bad/missing f64 field {key:?}")))
+    }
+
+    fn u64_field(&self, key: &str) -> Result<u64, AuditError> {
+        self.get(key)
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| AuditError::Parse(self.line, format!("bad/missing u64 field {key:?}")))
+    }
+
+    fn str_field(&self, key: &str) -> Result<&'a str, AuditError> {
+        self.get(key)
+            .and_then(|v| v.strip_prefix('"'))
+            .and_then(|v| v.strip_suffix('"'))
+            .ok_or_else(|| {
+                AuditError::Parse(self.line, format!("bad/missing string field {key:?}"))
+            })
+    }
+
+    /// An `f64` field that may be JSON `null` (unlimited budgets serialize
+    /// as `null`).
+    fn opt_f64_field(&self, key: &str) -> Result<Option<f64>, AuditError> {
+        match self.get(key) {
+            Some("null") => Ok(None),
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| AuditError::Parse(self.line, format!("bad f64 field {key:?}"))),
+            None => Err(AuditError::Parse(
+                self.line,
+                format!("missing field {key:?}"),
+            )),
+        }
+    }
+
+    /// The sum of a `[u64, …]` array field.
+    fn u64_array_sum(&self, key: &str) -> Result<u64, AuditError> {
+        let n = self.line;
+        let raw = self
+            .get(key)
+            .and_then(|v| v.strip_prefix('['))
+            .and_then(|v| v.strip_suffix(']'))
+            .ok_or_else(|| AuditError::Parse(n, format!("bad/missing array field {key:?}")))?;
+        if raw.trim().is_empty() {
+            return Ok(0);
+        }
+        raw.split(',').try_fold(0u64, |sum, x| {
+            x.trim()
+                .parse()
+                .ok()
+                .and_then(|x| sum.checked_add(x))
+                .ok_or_else(|| AuditError::Parse(n, format!("bad element in array {key:?}")))
+        })
+    }
+}
+
+/// The first index at or after `i` that is not JSON whitespace.
+fn skip_ws(b: &[u8], mut i: usize) -> usize {
+    while matches!(b.get(i), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+        i += 1;
+    }
+    i
+}
+
+/// The index of the quote closing a string whose body starts at `i`.
+fn string_end(b: &[u8], mut i: usize) -> Option<usize> {
+    while let Some(&c) = b.get(i) {
+        match c {
+            b'\\' => i += 2,
+            b'"' => return Some(i),
+            _ => i += 1,
         }
     }
     None
 }
 
-fn f64_field(line: &str, n: usize, key: &str) -> Result<f64, AuditError> {
-    json_field(line, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| AuditError::Parse(n, format!("bad/missing f64 field {key:?}")))
-}
-
-fn u64_field(line: &str, n: usize, key: &str) -> Result<u64, AuditError> {
-    json_field(line, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| AuditError::Parse(n, format!("bad/missing u64 field {key:?}")))
-}
-
-fn str_field<'a>(line: &'a str, n: usize, key: &str) -> Result<&'a str, AuditError> {
-    json_field(line, key)
-        .and_then(|v| v.strip_prefix('"'))
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| AuditError::Parse(n, format!("bad/missing string field {key:?}")))
-}
-
-/// An `f64` field that may be JSON `null` (unlimited budgets serialize
-/// as `null`).
-fn opt_f64_field(line: &str, n: usize, key: &str) -> Result<Option<f64>, AuditError> {
-    match json_field(line, key) {
-        Some("null") => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| AuditError::Parse(n, format!("bad f64 field {key:?}"))),
-        None => Err(AuditError::Parse(n, format!("missing field {key:?}"))),
-    }
-}
-
-fn u64_array(line: &str, n: usize, key: &str) -> Result<Vec<u64>, AuditError> {
-    let raw = json_field(line, key)
-        .and_then(|v| v.strip_prefix('['))
-        .and_then(|v| v.strip_suffix(']'))
-        .ok_or_else(|| AuditError::Parse(n, format!("bad/missing array field {key:?}")))?;
-    if raw.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    raw.split(',')
-        .map(|x| {
-            x.trim()
-                .parse()
-                .map_err(|_| AuditError::Parse(n, format!("bad element in array {key:?}")))
-        })
-        .collect()
+/// The stream as text. Invalid UTF-8 is a parse error on the line that
+/// holds it.
+fn stream_text(bytes: &[u8]) -> Result<&str, AuditError> {
+    std::str::from_utf8(bytes).map_err(|e| {
+        let n = 1 + bytes[..e.valid_up_to()]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count();
+        AuditError::Parse(n, format!("stream is not UTF-8: {e}"))
+    })
 }
 
 /// Energy-component keys in ledger order (see `simkit::EnergyComponent`).
@@ -245,16 +334,16 @@ struct RunAcc {
 }
 
 impl RunAcc {
-    fn new(line: &str, n: usize) -> Result<RunAcc, AuditError> {
+    fn new(f: &Fields<'_>) -> Result<RunAcc, AuditError> {
         Ok(RunAcc {
-            label: str_field(line, n, "label")?.to_string(),
-            disks: u64_field(line, n, "disks")? as u32,
-            inflight: u64_field(line, n, "inflight")? as u32,
-            sample_s: f64_field(line, n, "sample_s")?,
-            bucket_s: f64_field(line, n, "bucket_s")?,
-            goal_s: f64_field(line, n, "goal_s")?,
-            warmup_s: f64_field(line, n, "warmup_s")?,
-            horizon_s: f64_field(line, n, "horizon_s")?,
+            label: f.str_field("label")?.to_string(),
+            disks: f.u64_field("disks")? as u32,
+            inflight: f.u64_field("inflight")? as u32,
+            sample_s: f.f64_field("sample_s")?,
+            bucket_s: f.f64_field("bucket_s")?,
+            goal_s: f.f64_field("goal_s")?,
+            warmup_s: f.f64_field("warmup_s")?,
+            horizon_s: f.f64_field("horizon_s")?,
             events: 1,
             last_t: 0.0,
             order_violation: None,
@@ -596,34 +685,35 @@ impl RunAcc {
 
 /// Audits a JSON-lines stream (one or more concatenated runs).
 pub fn audit_bytes(bytes: &[u8]) -> Result<AuditOutcome, AuditError> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|e| AuditError::Parse(0, format!("stream is not UTF-8: {e}")))?;
+    let text = stream_text(bytes)?;
     let mut runs: Vec<RunAudit> = Vec::new();
     let mut acc: Option<RunAcc> = None;
+    let mut f = Fields::new();
 
     for (i, line) in text.lines().enumerate() {
         let n = i + 1;
         if line.trim().is_empty() {
             continue;
         }
-        let ev = str_field(line, n, "ev")?;
+        f.split(line, n)?;
+        let ev = f.str_field("ev")?;
         if ev == "run_start" {
             if let Some(prev) = acc.take() {
                 runs.push(prev.finish());
             }
-            acc = Some(RunAcc::new(line, n)?);
+            acc = Some(RunAcc::new(&f)?);
             continue;
         }
         let run = acc
             .as_mut()
             .ok_or_else(|| AuditError::Parse(n, format!("{ev:?} before any run_start")))?;
         run.events += 1;
-        let t = f64_field(line, n, "t")?;
+        let t = f.f64_field("t")?;
         run.note_time(t, n);
         match ev {
             "served" => {
-                let disk = u64_field(line, n, "disk")? as u32;
-                let latency_us = f64_field(line, n, "latency_us")?;
+                let disk = f.u64_field("disk")? as u32;
+                let latency_us = f.f64_field("latency_us")?;
                 if let Some(&died) = run.dead.get(&disk) {
                     if t > died + 1e-9 && run.dead_serve_violation.is_none() {
                         run.dead_serve_violation = Some(format!(
@@ -638,14 +728,14 @@ pub fn audit_bytes(bytes: &[u8]) -> Result<AuditOutcome, AuditError> {
                 b.1 += latency_us / 1e6;
             }
             "fault" => {
-                if str_field(line, n, "kind")? == "disk_failure" {
-                    let disk = u64_field(line, n, "disk")? as u32;
+                if f.str_field("kind")? == "disk_failure" {
+                    let disk = f.u64_field("disk")? as u32;
                     run.dead.entry(disk).or_insert(t);
                 }
             }
             "speed" => run.speed_events += 1,
             "mig_start" => {
-                let job = u64_field(line, n, "job")?;
+                let job = f.u64_field("job")?;
                 if run.active_jobs.insert(job, n as u64).is_some()
                     && run.mig_shape_violation.is_none()
                 {
@@ -657,7 +747,7 @@ pub fn audit_bytes(bytes: &[u8]) -> Result<AuditOutcome, AuditError> {
                 // window of its last commit. Suspended after a disk failure
                 // (rebuild re-copies are legitimate immediate moves).
                 if run.policy_events > 0 && run.dead.is_empty() && run.grace_violation.is_none() {
-                    let chunk = u64_field(line, n, "chunk")?;
+                    let chunk = f.u64_field("chunk")?;
                     if let Some(&(committed, grace)) = run.chunk_commits.get(&chunk) {
                         if t < committed + grace - 1e-9 {
                             run.grace_violation = Some(format!(
@@ -670,62 +760,66 @@ pub fn audit_bytes(bytes: &[u8]) -> Result<AuditOutcome, AuditError> {
                 }
             }
             "mig_moved" => {
-                let job = u64_field(line, n, "job")?;
+                let job = f.u64_field("job")?;
                 run.end_job(job, n, "mig_moved");
                 run.moved += 1;
-                if str_field(line, n, "kind")? != "raw" {
+                if f.str_field("kind")? != "raw" {
                     run.moved_remap += 1;
-                    let chunk = u64_field(line, n, "chunk")?;
+                    let chunk = f.u64_field("chunk")?;
                     run.chunk_commits.insert(chunk, (t, run.policy_grace_s));
                 }
             }
             "mig_abort" => {
-                let job = u64_field(line, n, "job")?;
+                let job = f.u64_field("job")?;
                 run.end_job(job, n, "mig_abort");
             }
             "mig_drop" => {
-                let job = u64_field(line, n, "job")?;
+                let job = f.u64_field("job")?;
                 run.end_job(job, n, "mig_drop");
             }
             "power" => {
-                let watts = f64_field(line, n, "watts")?;
+                let watts = f.f64_field("watts")?;
                 run.power_sum_j += watts * run.sample_s;
                 run.power_samples += 1;
                 run.last_power_t = t;
             }
             "disk" => {
                 for (i, name) in COMPONENTS.iter().enumerate() {
-                    run.disk_energy_j[i] += f64_field(line, n, name)?;
+                    run.disk_energy_j[i] += f.f64_field(name)?;
                 }
-                run.disk_transitions += u64_field(line, n, "transitions")?;
+                run.disk_transitions = run
+                    .disk_transitions
+                    .checked_add(f.u64_field("transitions")?)
+                    .ok_or_else(|| AuditError::Parse(n, "disk transitions overflow".to_string()))?;
                 run.disk_summaries += 1;
             }
             "run_end" => {
                 let mut energy_j = [0.0; 6];
                 for (i, name) in COMPONENTS.iter().enumerate() {
-                    energy_j[i] = f64_field(line, n, name)?;
+                    energy_j[i] = f.f64_field(name)?;
                 }
-                let latency_hist = u64_array(line, n, "latency_hist")?;
-                let latency_hist_total: u64 =
-                    latency_hist.iter().sum::<u64>() + u64_field(line, n, "latency_overflow")?;
+                let latency_hist_total = f
+                    .u64_array_sum("latency_hist")?
+                    .checked_add(f.u64_field("latency_overflow")?)
+                    .ok_or_else(|| AuditError::Parse(n, "latency counts overflow".to_string()))?;
                 run.end = Some(EndTotals {
-                    total_j: f64_field(line, n, "total_j")?,
+                    total_j: f.f64_field("total_j")?,
                     energy_j,
-                    completed: u64_field(line, n, "completed")?,
-                    transitions: u64_field(line, n, "transitions")?,
-                    violation: f64_field(line, n, "violation")?,
+                    completed: f.u64_field("completed")?,
+                    transitions: f.u64_field("transitions")?,
+                    violation: f.f64_field("violation")?,
                     latency_hist_total,
-                    moved: u64_field(line, n, "moved")?,
-                    remap_version: u64_field(line, n, "remap_version")?,
-                    dropped: u64_field(line, n, "dropped")?,
+                    moved: f.u64_field("moved")?,
+                    remap_version: f.u64_field("remap_version")?,
+                    dropped: f.u64_field("dropped")?,
                 });
             }
             "cache_hit" => {
                 // A DRAM-served request: counts toward completions and the
                 // violation refit, but not toward disk-served tallies.
-                let latency_us = f64_field(line, n, "latency_us")?;
+                let latency_us = f.f64_field("latency_us")?;
                 run.cache_hits += 1;
-                match str_field(line, n, "op")? {
+                match f.str_field("op")? {
                     "read" => run.cache_read_hits += 1,
                     "write" => run.cache_write_absorbs += 1,
                     other => {
@@ -740,20 +834,23 @@ pub fn audit_bytes(bytes: &[u8]) -> Result<AuditOutcome, AuditError> {
             "cache_miss" => run.cache_misses += 1,
             "flush" => {
                 run.flushes += 1;
-                run.flushed_chunks += u64_field(line, n, "chunks")?;
+                run.flushed_chunks = run
+                    .flushed_chunks
+                    .checked_add(f.u64_field("chunks")?)
+                    .ok_or_else(|| AuditError::Parse(n, "flushed chunks overflow".to_string()))?;
             }
             "cache_summary" => {
                 run.cache_sum = Some(CacheTotals {
-                    read_hits: u64_field(line, n, "read_hits")?,
-                    read_misses: u64_field(line, n, "read_misses")?,
-                    write_absorbs: u64_field(line, n, "write_absorbs")?,
-                    flushes: u64_field(line, n, "flushes")?,
-                    flushed_chunks: u64_field(line, n, "flushed_chunks")?,
+                    read_hits: f.u64_field("read_hits")?,
+                    read_misses: f.u64_field("read_misses")?,
+                    write_absorbs: f.u64_field("write_absorbs")?,
+                    flushes: f.u64_field("flushes")?,
+                    flushed_chunks: f.u64_field("flushed_chunks")?,
                 });
             }
             "policy" => {
                 run.policy_events += 1;
-                run.policy_grace_s = f64_field(line, n, "grace_s")?;
+                run.policy_grace_s = f.f64_field("grace_s")?;
             }
             "epoch" | "boost" => {}
             other => {
@@ -792,8 +889,7 @@ pub fn audit_bytes(bytes: &[u8]) -> Result<AuditOutcome, AuditError> {
 /// 5. **move accounting** — the trailer's move count matches the
 ///    replayed `tenant_move` events.
 pub fn audit_fleet_bytes(bytes: &[u8]) -> Result<RunAudit, AuditError> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|e| AuditError::Parse(0, format!("stream is not UTF-8: {e}")))?;
+    let text = stream_text(bytes)?;
 
     struct Trailer {
         total_j: f64,
@@ -817,6 +913,7 @@ pub fn audit_fleet_bytes(bytes: &[u8]) -> Result<RunAudit, AuditError> {
     let mut moves = 0u64;
     let mut trailer: Option<Trailer> = None;
     let mut after_trailer = false;
+    let mut f = Fields::new();
 
     let close_epoch = |budget: &mut Option<f64>, sum: &mut f64, viol: &mut Option<String>| {
         if let Some(b) = budget.take() {
@@ -836,8 +933,9 @@ pub fn audit_fleet_bytes(bytes: &[u8]) -> Result<RunAudit, AuditError> {
             return Err(AuditError::Parse(n, "events after fleet_end".to_string()));
         }
         events += 1;
-        let ev = str_field(line, n, "ev")?;
-        let t = f64_field(line, n, "t")?;
+        f.split(line, n)?;
+        let ev = f.str_field("ev")?;
+        let t = f.f64_field("t")?;
         if t < last_t - 1e-9 && order_violation.is_none() {
             order_violation = Some(format!(
                 "line {n}: t={t} after t={last_t} — stream not time-ordered"
@@ -848,23 +946,23 @@ pub fn audit_fleet_bytes(bytes: &[u8]) -> Result<RunAudit, AuditError> {
             "fleet_epoch" => {
                 close_epoch(&mut open_budget, &mut grant_sum, &mut grant_violation);
                 epochs += 1;
-                open_budget = opt_f64_field(line, n, "budget_w")?;
+                open_budget = f.opt_f64_field("budget_w")?;
             }
             "cap_grant" => {
-                grant_sum += f64_field(line, n, "cap_w")?;
+                grant_sum += f.f64_field("cap_w")?;
             }
             "tenant_move" => moves += 1,
             "fleet_end" => {
                 close_epoch(&mut open_budget, &mut grant_sum, &mut grant_violation);
                 trailer = Some(Trailer {
-                    total_j: f64_field(line, n, "total_j")?,
-                    budget_j: opt_f64_field(line, n, "budget_j")?,
-                    cap_violation_s: f64_field(line, n, "cap_violation_s")?,
-                    completed: u64_field(line, n, "completed")?,
-                    incomplete: u64_field(line, n, "incomplete")?,
-                    total_requests: u64_field(line, n, "total_requests")?,
-                    routed_requests: u64_field(line, n, "routed_requests")?,
-                    tenant_moves: u64_field(line, n, "tenant_moves")?,
+                    total_j: f.f64_field("total_j")?,
+                    budget_j: f.opt_f64_field("budget_j")?,
+                    cap_violation_s: f.f64_field("cap_violation_s")?,
+                    completed: f.u64_field("completed")?,
+                    incomplete: f.u64_field("incomplete")?,
+                    total_requests: f.u64_field("total_requests")?,
+                    routed_requests: f.u64_field("routed_requests")?,
+                    tenant_moves: f.u64_field("tenant_moves")?,
                 });
                 after_trailer = true;
             }
@@ -1221,6 +1319,376 @@ mod tests {
     fn garbage_is_a_parse_error() {
         assert!(audit_bytes(b"not json\n").is_err());
         assert!(audit_bytes(b"").is_err());
+    }
+
+    /// The `find`-based field lookup the auditor used before [`Fields`]:
+    /// search the whole line for `"key":` and read the value to the next
+    /// top-level `,` or `}`. Kept as the oracle the scanner must match.
+    fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+        let pat = format!("\"{key}\":");
+        let start = line.find(&pat)? + pat.len();
+        let rest = &line[start..];
+        let (mut depth, mut in_str, mut esc) = (0i32, false, false);
+        for (i, c) in rest.char_indices() {
+            if in_str {
+                if esc {
+                    esc = false;
+                } else if c == '\\' {
+                    esc = true;
+                } else if c == '"' {
+                    in_str = false;
+                }
+                continue;
+            }
+            match c {
+                '"' => in_str = true,
+                '[' | '{' => depth += 1,
+                ']' => depth -= 1,
+                '}' => {
+                    if depth == 0 {
+                        return Some(rest[..i].trim());
+                    }
+                    depth -= 1;
+                }
+                ',' if depth == 0 => return Some(rest[..i].trim()),
+                _ => {}
+            }
+        }
+        None
+    }
+
+    /// One event of every variant, with awkward values: a label holding
+    /// a key-like `"disk":`, `,`, `}` and an odd number of quotes; tiny,
+    /// huge, signed-zero and non-finite floats; empty `per_level` and
+    /// histograms.
+    fn awkward_events() -> Vec<crate::Event> {
+        use crate::{BoostReason, CacheOp, Event, MoveKind, TransitionReason, STANDBY};
+        vec![
+            Event::RunStart {
+                time_s: -0.0,
+                label: "q\" , }x\"disk\":1,} {\"t\":[\\".into(),
+                disks: 16,
+                levels: 6,
+                horizon_s: f64::MAX,
+                migration_inflight: 2,
+                sample_interval_s: 1e-7,
+                series_bucket_s: 120.0,
+                goal_s: f64::MAX,
+                warmup_s: 5e-324,
+                seed: u64::MAX,
+            },
+            Event::EpochPlanned {
+                time_s: 1e-7,
+                per_level: vec![],
+                feasible: false,
+                predicted_response_s: f64::INFINITY,
+                predicted_power_w: f64::NAN,
+                migration_jobs: 0,
+                skipped: true,
+                changed: false,
+            },
+            Event::EpochPlanned {
+                time_s: 2.0,
+                per_level: vec![0, 2, 14],
+                feasible: true,
+                predicted_response_s: 0.005,
+                predicted_power_w: 190.0,
+                migration_jobs: 3,
+                skipped: false,
+                changed: true,
+            },
+            Event::PolicyDecision {
+                time_s: 2.5,
+                policy: "lfu",
+                moves: 7,
+                deferred_grace: 2,
+                deferred_inflight: 1,
+                skipped_threshold: 3,
+                grace_s: -0.0,
+                sleepers: 0,
+            },
+            Event::SpeedTransition {
+                time_s: 3.0,
+                disk: 4,
+                from: STANDBY,
+                to: 5,
+                reason: TransitionReason::DemandWake,
+                stretched: true,
+            },
+            Event::MigrationStarted {
+                time_s: 3.0,
+                job: 1,
+                chunk: u64::MAX,
+                src: 0,
+                dst: 5,
+            },
+            Event::MigrationMoved {
+                time_s: 3.5,
+                job: 1,
+                chunk: 99,
+                src: 0,
+                dst: 5,
+                bytes: 1 << 20,
+                kind: MoveKind::Swap,
+            },
+            Event::MigrationAborted {
+                time_s: 4.0,
+                job: 2,
+                chunk: 7,
+            },
+            Event::MigrationDropped {
+                time_s: 4.0,
+                job: 3,
+                chunk: 8,
+            },
+            Event::GuardBoost {
+                time_s: 5.0,
+                entered: true,
+                reason: BoostReason::DiskFailure,
+            },
+            Event::FaultInjected {
+                time_s: 5.0,
+                disk: 2,
+                kind: "disk_failure",
+            },
+            Event::RequestServed {
+                time_s: 5.000000000000001,
+                latency_us: 1e-7,
+                disk: 3,
+                tier: STANDBY,
+            },
+            Event::CacheHit {
+                time_s: 6.0,
+                latency_us: f64::MAX,
+                op: CacheOp::Write,
+            },
+            Event::CacheMiss {
+                time_s: 6.0,
+                chunks: 0,
+            },
+            Event::FlushBatch {
+                time_s: 7.0,
+                chunks: 12,
+                disks: 4,
+                forced: true,
+            },
+            Event::CacheSummary {
+                time_s: 8.0,
+                read_hits: 0,
+                read_misses: u64::MAX,
+                write_absorbs: 6,
+                writebacks: 1,
+                flushes: 3,
+                flushed_chunks: 5,
+            },
+            Event::PowerSample {
+                time_s: 9.0,
+                watts: -0.0,
+            },
+            Event::DiskSummary {
+                time_s: 10.0,
+                disk: 3,
+                energy_j: [1e-7, f64::MAX, -0.0, 0.0, 5.0, 6.0],
+                transitions: 9,
+                failed_at_s: None,
+            },
+            Event::DiskSummary {
+                time_s: 10.0,
+                disk: 2,
+                energy_j: [1.0; 6],
+                transitions: 0,
+                failed_at_s: Some(5.0),
+            },
+            Event::RunSummary {
+                time_s: 10.0,
+                total_j: 1e-7,
+                energy_j: [0.0; 6],
+                completed: 0,
+                incomplete: 0,
+                transitions: 0,
+                mean_response_s: f64::NAN,
+                violation: -0.0,
+                latency_hist: vec![],
+                latency_overflow: 0,
+                queue_hist: vec![],
+                queue_overflow: 0,
+                moved: 0,
+                remap_version: 0,
+                dropped: 0,
+            },
+            Event::RunSummary {
+                time_s: 10.0,
+                total_j: 1.0,
+                energy_j: [1.0; 6],
+                completed: 3,
+                incomplete: 1,
+                transitions: 2,
+                mean_response_s: 0.005,
+                violation: 0.25,
+                latency_hist: vec![1, 0, 2],
+                latency_overflow: 1,
+                queue_hist: vec![4],
+                queue_overflow: 0,
+                moved: 1,
+                remap_version: 1,
+                dropped: 0,
+            },
+            Event::FleetEpoch {
+                time_s: 0.0,
+                epoch: 0,
+                arrays: 2,
+                budget_w: None,
+                demand_w: 1e-7,
+            },
+            Event::FleetEpoch {
+                time_s: 60.0,
+                epoch: 1,
+                arrays: 2,
+                budget_w: Some(f64::MAX),
+                demand_w: 80.0,
+            },
+            Event::CapGrant {
+                time_s: 60.0,
+                array: 1,
+                cap_w: -0.0,
+                observed_w: 30.0,
+            },
+            Event::TenantMove {
+                time_s: 60.0,
+                tenant: 3,
+                from_array: 0,
+                to_array: 1,
+            },
+            Event::FleetSummary {
+                time_s: 120.0,
+                total_j: 9000.0,
+                budget_j: None,
+                cap_violation_s: 0.0,
+                completed: 90,
+                incomplete: 10,
+                total_requests: 100,
+                routed_requests: 100,
+                tenant_moves: 1,
+            },
+        ]
+    }
+
+    #[test]
+    fn scanner_matches_the_find_oracle_on_every_variant() {
+        let mut bytes = Vec::new();
+        for ev in awkward_events() {
+            ev.write_jsonl(&mut bytes).unwrap();
+        }
+        let text = std::str::from_utf8(&bytes).unwrap();
+        // Every key of every line, so each line is also asked for keys it
+        // lacks, plus look-alikes that no line carries. (Keys with a
+        // backslash are left out: the oracle would find `disk\` inside
+        // the label's escaped `\"disk\":`, and no schema key has one.)
+        let mut keys: Vec<&str> = vec!["", "nope", "isk", "disk_", "label_"];
+        let mut f = Fields::new();
+        for (i, line) in text.lines().enumerate() {
+            f.split(line, i + 1).unwrap();
+            keys.extend(f.pairs.iter().map(|&(k, _)| k));
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        assert!(keys.len() > 80, "only {} distinct keys", keys.len());
+        for (i, line) in text.lines().enumerate() {
+            f.split(line, i + 1).unwrap();
+            for key in &keys {
+                assert_eq!(
+                    f.get(key),
+                    json_field(line, key),
+                    "line {}: key {key:?} in {line}",
+                    i + 1
+                );
+            }
+        }
+        // The label round-trips as the raw escaped text the oracle saw.
+        f.split(text.lines().next().unwrap(), 1).unwrap();
+        assert_eq!(
+            f.str_field("label").unwrap(),
+            r#"q\" , }x\"disk\":1,} {\"t\":[\\"#
+        );
+    }
+
+    #[test]
+    fn malformed_lines_are_parse_errors_on_their_line() {
+        let array_head = "{\"ev\":\"run_start\",\"t\":0.0,\"label\":\"test\",\"disks\":2,\"levels\":6,\"horizon_s\":100.0,\"inflight\":2,\"sample_s\":50.0,\"bucket_s\":50.0,\"goal_s\":0.01,\"warmup_s\":0.0,\"seed\":1}\n\
+                          {\"ev\":\"power\",\"t\":50.0,\"watts\":1.0}\n";
+        let fleet_head = "{\"ev\":\"fleet_epoch\",\"t\":0.0,\"epoch\":0,\"arrays\":2,\"budget_w\":100.0,\"demand_w\":0.0}\n\
+                          {\"ev\":\"cap_grant\",\"t\":0.0,\"array\":0,\"cap_w\":50.0,\"observed_w\":0.0}\n";
+        let bad_lines: [(&str, &[u8]); 9] = [
+            (
+                "unterminated string",
+                b"{\"ev\":\"power\",\"t\":60.0,\"watts\":\"1.0}",
+            ),
+            ("unterminated key", b"{\"ev\":\"power\",\"t"),
+            (
+                "key with no colon",
+                b"{\"ev\":\"power\",\"t\" 60.0,\"watts\":1.0}",
+            ),
+            ("missing '}'", b"{\"ev\":\"power\",\"t\":60.0,\"watts\":1.0"),
+            ("stray ']'", b"{\"ev\":\"power\",\"t\":60.0],\"watts\":1.0}"),
+            (
+                "unclosed '['",
+                b"{\"ev\":\"run_end\",\"t\":60.0,\"latency_hist\":[1,2}",
+            ),
+            ("empty object", b"{}"),
+            ("bare text", b"watts"),
+            (
+                "non-UTF-8",
+                b"{\"ev\":\"power\",\"t\":60.0,\"watts\":\xff1.0}",
+            ),
+        ];
+        type Audit = fn(&[u8]) -> Result<(), AuditError>;
+        let audits: [(&str, Audit); 2] = [
+            (array_head, |b| audit_bytes(b).map(drop)),
+            (fleet_head, |b| audit_fleet_bytes(b).map(drop)),
+        ];
+        for (what, bad) in bad_lines {
+            for (head, audit) in audits {
+                // Two good lines, the bad one, then a good one again.
+                let mut stream = head.as_bytes().to_vec();
+                stream.extend_from_slice(bad);
+                stream.extend_from_slice(b"\n");
+                stream.extend_from_slice(head.lines().nth(1).unwrap().as_bytes());
+                match audit(&stream) {
+                    Err(AuditError::Parse(3, _)) => {}
+                    other => panic!("{what}: expected a parse error on line 3, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_histogram_is_a_parse_error() {
+        let s = minimal_stream().replace(
+            "\"latency_hist\":[0,0,1]",
+            "\"latency_hist\":[18446744073709551615,1]",
+        );
+        assert!(matches!(
+            audit_bytes(s.as_bytes()),
+            Err(AuditError::Parse(7, _))
+        ));
+    }
+
+    #[test]
+    fn overflowing_stream_sums_are_parse_errors() {
+        // Two disks of u64::MAX transitions each, matched by the run_end.
+        let s =
+            minimal_stream().replace("\"transitions\":0", "\"transitions\":18446744073709551615");
+        assert!(matches!(
+            audit_bytes(s.as_bytes()),
+            Err(AuditError::Parse(6, _))
+        ));
+        let flush = "{\"ev\":\"flush\",\"t\":30.0,\"chunks\":3,\"disks\":2,\"forced\":false}";
+        let huge = flush.replace("\"chunks\":3", "\"chunks\":18446744073709551615");
+        let s = cache_stream().replace(flush, &format!("{huge}\n{huge}"));
+        assert!(matches!(
+            audit_bytes(s.as_bytes()),
+            Err(AuditError::Parse(6, _))
+        ));
     }
 
     /// A two-epoch, two-array fleet stream whose grants, budget, and

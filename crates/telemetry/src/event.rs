@@ -1,12 +1,12 @@
 //! The typed event vocabulary and its JSON-lines serialization.
 //!
 //! Events are write-only records: the simulator constructs them at decision
-//! points and the [`EventSink`](crate::EventSink) serializes them with the
-//! same hand-rolled JSON-lines discipline the workload trace persistence
-//! uses (`{:?}` floats for shortest round-trip, one object per line). The
-//! auditor never reconstructs `Event` values — it scans fields straight out
-//! of the text — so variants can carry `&'static str` tags without an owned
-//! parse-side mirror.
+//! points and the [`Recorder`](crate::Recorder) serializes each one as it
+//! is recorded, with the same hand-rolled JSON-lines discipline the
+//! workload trace persistence uses (`{:?}` floats for shortest
+//! round-trip, one object per line). The auditor never reconstructs
+//! `Event` values — it scans fields straight out of the text — so variants
+//! can carry `&'static str` tags without an owned parse-side mirror.
 
 use simkit::EnergyComponent;
 use std::io::{self, Write};
@@ -368,7 +368,9 @@ pub enum Event {
         moved: u64,
         /// Final remap-table version (bumps per relocate/swap).
         remap_version: u64,
-        /// Events the ring buffer had to drop (0 for a complete stream).
+        /// Always 0: the recorder keeps every event. The field stays so
+        /// existing streams keep their bytes, and the auditor still fails
+        /// a stream that reports drops.
         dropped: u64,
     },
     /// Fleet-stream header/boundary: the arbiter reviewed the fleet at a

@@ -13,9 +13,10 @@
 //!   disabled recorder is a single `None`: every emit is one branch and no
 //!   event is ever constructed, so the hot path stays allocation-free when
 //!   telemetry is off.
-//! * [`EventSink`] — a bounded ring buffer with a dropped-event counter;
-//!   streams serialize to JSON-lines with the same hand-rolled shortest
-//!   round-trip float formatting the workload trace persistence uses.
+//!   An enabled recorder writes each event's JSON line the moment it is
+//!   recorded, with the same hand-rolled shortest round-trip float
+//!   formatting the workload trace persistence uses, and keeps every line
+//!   of the run.
 //! * [`Counters`] and fixed-bucket latency/queue-depth histograms
 //!   (`simkit::FixedHistogram`) updated inline as events are recorded.
 //! * [`audit`] — a replay auditor that re-derives energy totals, power
@@ -34,8 +35,6 @@
 pub mod audit;
 mod event;
 mod recorder;
-mod sink;
 
 pub use event::{BoostReason, CacheOp, Event, MoveKind, Tier, TransitionReason, STANDBY};
 pub use recorder::{Counters, Recorder, RunStream, TelemetryConfig};
-pub use sink::EventSink;

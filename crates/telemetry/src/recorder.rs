@@ -1,6 +1,6 @@
 //! The per-run recording handle.
 
-use crate::{Event, EventSink};
+use crate::Event;
 use simkit::FixedHistogram;
 
 /// Latency histogram layout: 2 ms buckets spanning 0–200 ms.
@@ -22,18 +22,15 @@ pub struct TelemetryConfig {
     /// Warm-up cutoff: series buckets starting before this are excluded
     /// from the violation fraction, mirroring the T4 convention.
     pub warmup_s: f64,
-    /// Ring-buffer capacity in events.
-    pub capacity: usize,
 }
 
 impl TelemetryConfig {
-    /// A config with the default capacity, no goal, and no warm-up.
+    /// A config with no goal and no warm-up.
     pub fn new(label: impl Into<String>) -> Self {
         TelemetryConfig {
             label: label.into(),
             goal_s: f64::MAX,
             warmup_s: 0.0,
-            capacity: 4_000_000,
         }
     }
 
@@ -49,7 +46,7 @@ impl TelemetryConfig {
 /// "lock-cheap" is literal here).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
-    /// Total events recorded (pre-eviction).
+    /// Total events recorded.
     pub events: u64,
     /// `RequestServed` events.
     pub served: u64,
@@ -91,13 +88,20 @@ pub struct RunStream {
 
 struct Inner {
     cfg: TelemetryConfig,
-    sink: EventSink,
+    /// The JSON-lines stream so far: each event's line is appended as it
+    /// is recorded.
+    bytes: Vec<u8>,
     counters: Counters,
     latency_us: FixedHistogram,
     queue_depth: FixedHistogram,
 }
 
 /// The recording handle threaded through the simulation.
+///
+/// An enabled recorder serializes each event to its JSON line the moment
+/// it is recorded and keeps only the bytes (about 88 per event on the
+/// quick fault storm), so a stream holds every event of the run, however
+/// long, in recording order.
 ///
 /// A disabled recorder is a single `None` — every emit path is one branch
 /// and never constructs an event (use [`Recorder::emit_with`] on paths
@@ -113,10 +117,10 @@ impl std::fmt::Debug for Recorder {
             None => write!(f, "Recorder(disabled)"),
             Some(i) => write!(
                 f,
-                "Recorder({:?}, {} events, {} dropped)",
+                "Recorder({:?}, {} events, {} bytes)",
                 i.cfg.label,
-                i.sink.len(),
-                i.sink.dropped()
+                i.counters.events,
+                i.bytes.len()
             ),
         }
     }
@@ -134,13 +138,12 @@ impl Recorder {
         Recorder { inner: None }
     }
 
-    /// An enabled recorder capturing into a fresh ring buffer.
+    /// An enabled recorder capturing into a fresh stream.
     pub fn new(cfg: TelemetryConfig) -> Recorder {
-        let capacity = cfg.capacity;
         Recorder {
             inner: Some(Box::new(Inner {
                 cfg,
-                sink: EventSink::new(capacity),
+                bytes: Vec::new(),
                 counters: Counters::default(),
                 latency_us: FixedHistogram::new(LATENCY_BUCKET_US, LATENCY_BUCKETS),
                 queue_depth: FixedHistogram::new(QUEUE_BUCKET, QUEUE_BUCKETS),
@@ -202,23 +205,13 @@ impl Recorder {
         self.inner.as_deref().map(|i| &i.queue_depth)
     }
 
-    /// Events evicted from the ring so far (0 when disabled).
-    pub fn dropped(&self) -> u64 {
-        self.inner.as_deref().map(|i| i.sink.dropped()).unwrap_or(0)
-    }
-
-    /// Serializes the captured stream, consuming the recorder. Returns
-    /// `None` when disabled.
+    /// The captured stream, consuming the recorder. Returns `None` when
+    /// disabled.
     pub fn into_stream(self) -> Option<RunStream> {
         let inner = self.inner?;
-        let mut bytes = Vec::with_capacity(inner.sink.len() * 96);
-        inner
-            .sink
-            .write_jsonl(&mut bytes)
-            .expect("serialize to Vec cannot fail");
         Some(RunStream {
             label: inner.cfg.label,
-            bytes,
+            bytes: inner.bytes,
         })
     }
 }
@@ -262,7 +255,8 @@ impl Inner {
             | Event::TenantMove { .. }
             | Event::FleetSummary { .. } => {}
         }
-        self.sink.push(ev);
+        ev.write_jsonl(&mut self.bytes)
+            .expect("serialize to Vec cannot fail");
     }
 }
 
@@ -295,6 +289,33 @@ mod tests {
             }
         });
         assert!(!built);
+    }
+
+    #[test]
+    fn stream_is_each_event_line_in_recording_order() {
+        let evs = [
+            Event::PowerSample {
+                time_s: 1.0,
+                watts: 10.0,
+            },
+            Event::RequestServed {
+                time_s: 2.0,
+                latency_us: 1e-7,
+                disk: 3,
+                tier: crate::STANDBY,
+            },
+            Event::PowerSample {
+                time_s: 3.0,
+                watts: -0.0,
+            },
+        ];
+        let mut r = Recorder::new(TelemetryConfig::new("order"));
+        let mut want = Vec::new();
+        for ev in evs {
+            ev.write_jsonl(&mut want).unwrap();
+            r.emit(ev);
+        }
+        assert_eq!(r.into_stream().unwrap().bytes, want);
     }
 
     #[test]

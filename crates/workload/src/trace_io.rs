@@ -587,6 +587,26 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_fields_match_whole_keys_in_any_order_and_crlf() {
+        // `sector` must not match the `sectors` key that precedes it.
+        let data = "{\"sectors\":8,\"kind\":\"W\",\"sector\":2,\"time_s\":1.5}\r\n\
+                    {\"time_s\":0.5,\"sector\":9,\"sectors\":16,\"kind\":\"R\"}";
+        let tr = read_jsonl(data.as_bytes()).unwrap();
+        let got: Vec<_> = tr
+            .requests
+            .iter()
+            .map(|r| (r.time.as_secs(), r.sector, r.sectors, r.kind))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0.5, 9, 16, VolumeIoKind::Read),
+                (1.5, 2, 8, VolumeIoKind::Write)
+            ]
+        );
+    }
+
+    #[test]
     fn jsonl_roundtrip_is_exact() {
         let tr = sample();
         let mut buf = Vec::new();
