@@ -4,6 +4,11 @@
 //! keeps one exponentially decaying counter per chunk (time constant `tau`),
 //! so temperature reflects recent traffic and forgets ancient history. The
 //! decay is applied lazily, making `touch` O(1).
+//!
+//! The map also remembers which chunks have been touched (its *warm set*).
+//! Every other chunk is exactly cold, so ranking costs one `exp()` per warm
+//! chunk and a sort of those with non-zero temperature, not a sort of the
+//! whole volume.
 
 use crate::types::ChunkId;
 use simkit::{SimDuration, SimTime};
@@ -14,6 +19,11 @@ pub struct HeatMap {
     tau_s: f64,
     mass: Vec<f64>,
     last: Vec<SimTime>,
+    /// `is_warm[c]` once chunk `c` has been touched since the last reset.
+    is_warm: Vec<bool>,
+    /// The touched chunks, in first-touch order. Every chunk not listed
+    /// has zero mass.
+    warm: Vec<u32>,
 }
 
 impl HeatMap {
@@ -28,6 +38,8 @@ impl HeatMap {
             tau_s: tau.as_secs(),
             mass: vec![0.0; chunks as usize],
             last: vec![SimTime::ZERO; chunks as usize],
+            is_warm: vec![false; chunks as usize],
+            warm: Vec::new(),
         }
     }
 
@@ -37,9 +49,13 @@ impl HeatMap {
     }
 
     /// Registers `weight` accesses to `chunk` at `now` (weight 1.0 = one
-    /// request; callers may weight by sectors).
+    /// request; callers may weight by sectors). Weights are non-negative.
     pub fn touch(&mut self, now: SimTime, chunk: ChunkId, weight: f64) {
         let i = chunk.index();
+        if !self.is_warm[i] {
+            self.is_warm[i] = true;
+            self.warm.push(chunk.0);
+        }
         let dt = now.saturating_since(self.last[i]).as_secs();
         if dt > 0.0 {
             self.mass[i] *= (-dt / self.tau_s).exp();
@@ -72,24 +88,42 @@ impl HeatMap {
     }
 
     /// Ranks all chunks hottest → coldest into `scratch`, reusing its
-    /// buffers. Same order as [`HeatMap::ranking`] (the comparator is a
-    /// total order — temperature descending, id ascending on ties — so the
-    /// result is a unique permutation regardless of sort algorithm).
+    /// buffers, and fills [`RankScratch::rates`] alongside. Same order as
+    /// [`HeatMap::ranking`]: temperature descending, id ascending on ties.
+    ///
+    /// Only warm chunks are evaluated. Those with a temperature above zero
+    /// are sorted; every other chunk (never touched, or decayed to exactly
+    /// zero) has temperature 0.0 and so follows them in ascending id order.
+    /// The comparator is a total order, so this is the permutation a sort of
+    /// the whole volume gives.
+    ///
+    /// # Panics
+    /// Panics if a temperature is NaN or negative (a NaN or negative
+    /// weight was touched).
     pub fn ranking_into(&self, now: SimTime, scratch: &mut RankScratch) {
-        let n = self.chunks();
-        scratch.temps.clear();
-        scratch
-            .temps
-            .extend((0..n).map(|c| self.temperature(now, ChunkId(c))));
-        scratch.order.clear();
-        scratch.order.extend((0..n).map(ChunkId));
-        let temps = &scratch.temps;
-        scratch.order.sort_unstable_by(|a, b| {
-            temps[b.index()]
-                .partial_cmp(&temps[a.index()])
-                .expect("temperatures are finite")
-                .then(a.0.cmp(&b.0))
-        });
+        let RankScratch { order, rates, hot } = scratch;
+        hot.clear();
+        for &c in &self.warm {
+            let t = self.temperature(now, ChunkId(c));
+            assert!(t >= 0.0, "temperatures are not NaN or negative");
+            if t > 0.0 {
+                hot.push((t, c));
+            }
+        }
+        hot.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        order.clear();
+        order.extend(hot.iter().map(|&(_, c)| ChunkId(c)));
+        rates.clear();
+        rates.extend(hot.iter().map(|&(t, _)| t / self.tau_s));
+        // The cold tail: every id not in the hot prefix, ascending, rate 0.
+        hot.sort_unstable_by_key(|&(_, c)| c);
+        let mut next = 0;
+        for &(_, c) in hot.iter() {
+            order.extend((next..c).map(ChunkId));
+            next = c + 1;
+        }
+        order.extend((next..self.chunks()).map(ChunkId));
+        rates.resize(order.len(), 0.0);
     }
 
     /// Sum of all temperatures as of `now` (total recent traffic mass).
@@ -101,19 +135,25 @@ impl HeatMap {
 
     /// Resets every counter to zero.
     pub fn reset(&mut self) {
-        self.mass.iter_mut().for_each(|m| *m = 0.0);
+        for &c in &self.warm {
+            self.mass[c as usize] = 0.0;
+            self.is_warm[c as usize] = false;
+        }
+        self.warm.clear();
     }
 }
 
 /// Reusable buffers for [`HeatMap::ranking_into`].
 ///
 /// Epoch planners rank every chunk each planning round; holding one of
-/// these across rounds avoids rebuilding (and re-allocating) the index and
-/// temperature vectors every call.
+/// these across rounds avoids rebuilding (and re-allocating) the ranking
+/// and rate vectors every call.
 #[derive(Debug, Clone, Default)]
 pub struct RankScratch {
     order: Vec<ChunkId>,
-    temps: Vec<f64>,
+    rates: Vec<f64>,
+    /// `(temperature, chunk)` of the chunks above zero.
+    hot: Vec<(f64, u32)>,
 }
 
 impl RankScratch {
@@ -126,6 +166,13 @@ impl RankScratch {
     /// call, hottest first.
     pub fn ranked(&self) -> &[ChunkId] {
         &self.order
+    }
+
+    /// The access rate of each chunk of [`RankScratch::ranked`], aligned
+    /// with it: `rates()[k]` has the bits of `HeatMap::rate(now, ranked()[k])`
+    /// for the `now` of that call.
+    pub fn rates(&self) -> &[f64] {
+        &self.rates
     }
 }
 
@@ -230,5 +277,100 @@ mod tests {
         h.touch(t(0.0), ChunkId(0), 3.0);
         h.reset();
         assert_eq!(h.temperature(t(0.0), ChunkId(0)), 0.0);
+    }
+
+    /// The ranking as it was before the warm set: every chunk's temperature,
+    /// then one sort of the whole volume. The oracle for `ranking_into`.
+    fn full_sort_ranking(h: &HeatMap, now: SimTime) -> Vec<ChunkId> {
+        let n = h.chunks();
+        let temps: Vec<f64> = (0..n).map(|c| h.temperature(now, ChunkId(c))).collect();
+        let mut order: Vec<ChunkId> = (0..n).map(ChunkId).collect();
+        order.sort_unstable_by(|a, b| {
+            temps[b.index()]
+                .partial_cmp(&temps[a.index()])
+                .expect("temperatures are finite")
+                .then(a.0.cmp(&b.0))
+        });
+        order
+    }
+
+    /// `ranking_into` gives the oracle's permutation, and each rate has the
+    /// bits `rate` gives for its chunk.
+    fn assert_matches_oracle(h: &HeatMap, now: SimTime, scratch: &mut RankScratch) {
+        h.ranking_into(now, scratch);
+        assert_eq!(scratch.ranked(), full_sort_ranking(h, now).as_slice());
+        assert_eq!(scratch.rates().len(), scratch.ranked().len());
+        for (k, (&c, &r)) in scratch.ranked().iter().zip(scratch.rates()).enumerate() {
+            assert_eq!(r.to_bits(), h.rate(now, c).to_bits(), "rate {k} of {c:?}");
+        }
+    }
+
+    /// `touches` random touches over `chunks` of `h`, at 0.5 s steps so
+    /// that same-step touches of different chunks tie.
+    fn touch_random(h: &mut HeatMap, rng: &mut simkit::DetRng, chunks: &[u32], touches: u32) {
+        for i in 0..touches {
+            let c = chunks[rng.below(chunks.len() as u64) as usize];
+            h.touch(t(f64::from(i / 4) * 0.5), ChunkId(c), 1.0);
+        }
+    }
+
+    #[test]
+    fn ranking_matches_full_sort_oracle() {
+        let mut rng = simkit::DetRng::new(15, "heat-oracle");
+        let mut scratch = RankScratch::new();
+
+        // Sparse, fleet-shaped: 64 warm chunks out of 16 384.
+        let mut sparse = HeatMap::new(16_384, SimDuration::from_hours(2.0));
+        let warm: Vec<u32> = (0..64).map(|_| rng.below(16_384) as u32).collect();
+        touch_random(&mut sparse, &mut rng, &warm, 2_000);
+        for probe in [250.0, 1_000.0, 7_200.0] {
+            assert_matches_oracle(&sparse, t(probe), &mut scratch);
+        }
+
+        // Dense: most of a 2 048-chunk volume warm, with many ties.
+        let mut dense = HeatMap::new(2_048, SimDuration::from_secs(300.0));
+        let all: Vec<u32> = (0..2_048).collect();
+        touch_random(&mut dense, &mut rng, &all, 20_000);
+        for probe in [2_500.0, 2_600.0, 9_000.0] {
+            assert_matches_oracle(&dense, t(probe), &mut scratch);
+        }
+
+        // Never touched: the identity, all rates zero.
+        let cold = HeatMap::new(1_000, SimDuration::from_secs(60.0));
+        assert_matches_oracle(&cold, t(0.0), &mut scratch);
+        assert_matches_oracle(&cold, t(1e6), &mut scratch);
+
+        // After a reset, and after touching again.
+        dense.reset();
+        assert_matches_oracle(&dense, t(2_500.0), &mut scratch);
+        touch_random(&mut dense, &mut rng, &all[..100], 300);
+        assert_matches_oracle(&dense, t(2_500.0), &mut scratch);
+    }
+
+    #[test]
+    fn ranking_puts_underflowed_chunks_in_the_id_ordered_tail() {
+        // τ = 1 s: mass touched at t = 0 decays to exactly 0.0 by t = 800 s
+        // (e^-800 underflows), so those warm chunks rank with the
+        // never-touched ones, by id.
+        let mut h = HeatMap::new(64, SimDuration::from_secs(1.0));
+        for c in (0..64).step_by(3) {
+            h.touch(t(0.0), ChunkId(c), 5.0);
+        }
+        for c in (1..64).step_by(7) {
+            h.touch(t(850.0), ChunkId(c), 1.0 + f64::from(c % 4));
+        }
+        assert_eq!(h.temperature(t(850.0), ChunkId(0)), 0.0);
+        let mut scratch = RankScratch::new();
+        for probe in [0.0, 10.0, 801.0, 850.0, 851.0, 2_000.0] {
+            assert_matches_oracle(&h, t(probe), &mut scratch);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "temperatures are not NaN")]
+    fn ranking_rejects_nan_temperature() {
+        let mut h = HeatMap::new(4, SimDuration::from_secs(10.0));
+        h.touch(t(0.0), ChunkId(2), f64::NAN);
+        let _ = h.ranking(t(1.0));
     }
 }

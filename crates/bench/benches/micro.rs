@@ -5,7 +5,7 @@
 //! recording, popularity sampling, MAID's cache-disk tier directory, the
 //! once-per-epoch allocator DP, and telemetry recording and audit.
 
-use array::{ChunkId, HeatMap};
+use array::{ChunkId, HeatMap, RankScratch};
 use bench::{criterion_group, criterion_main, Criterion};
 use cache::TierDirectory;
 use diskmodel::{Disk, DiskRequest, DiskSpec, IoKind, RequestClass, ServiceModel, SpeedLevel};
@@ -186,16 +186,36 @@ fn tier_directory(c: &mut Criterion) {
 }
 
 fn heat_ranking(c: &mut Criterion) {
-    let mut heat = HeatMap::new(16_384, SimDuration::from_hours(2.0));
+    // Both cases time `ranking_into` alone, with the scratch reused as the
+    // epoch planners reuse theirs. Dense: a single OLTP array touches
+    // nearly all of its 16 384 chunks between epochs.
     let mut rng = DetRng::new(5, "bench-heat");
+    let mut dense = HeatMap::new(16_384, SimDuration::from_hours(2.0));
     for i in 0..200_000 {
         let chunk = ChunkId((rng.below(16_384)) as u32);
-        heat.touch(SimTime::from_secs(i as f64 * 0.01), chunk, 1.0);
+        dense.touch(SimTime::from_secs(i as f64 * 0.01), chunk, 1.0);
+    }
+    // Fleet-shaped: each of 256 arrays serves 1/256 of the load and
+    // touches a few dozen chunks, here 64 spread over the volume.
+    let mut sparse = HeatMap::new(16_384, SimDuration::from_hours(2.0));
+    let warm: Vec<u32> = (0..64).map(|k| k * 256 + rng.below(256) as u32).collect();
+    for i in 0..2_000 {
+        let chunk = ChunkId(warm[rng.below(64) as usize]);
+        sparse.touch(SimTime::from_secs(i as f64), chunk, 1.0);
     }
     let now = SimTime::from_secs(2000.0);
-    c.bench_function("heat_ranking_16k_chunks", |b| {
-        b.iter(|| black_box(heat.ranking(now)))
-    });
+    let mut scratch = RankScratch::new();
+    for (name, heat) in [
+        ("heat_ranking_16k_chunks", &dense),
+        ("heat_ranking_16k_chunks_64_warm", &sparse),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                heat.ranking_into(now, &mut scratch);
+                black_box(scratch.ranked()[0])
+            })
+        });
+    }
 }
 
 fn allocator_dp(c: &mut Criterion) {

@@ -127,26 +127,25 @@ pub fn plan_migrations(
     let mut fill: Vec<usize> = vec![0; n];
 
     let mut jobs = Vec::new();
-    let mut rank_iter = ranking.iter();
+    let mut unplaced = ranking;
     'tiers: for level in (0..levels).rev() {
         let disks = &tier_disks[level];
         if disks.is_empty() {
             continue;
         }
         let capacity = disks.len() * cpd;
-        let members: Vec<ChunkId> = rank_iter.by_ref().take(capacity).copied().collect();
+        let (members, rest) = unplaced.split_at(capacity.min(unplaced.len()));
+        unplaced = rest;
         if members.is_empty() {
             continue;
         }
         let in_tier = |d: DiskId| disks.contains(&d);
         // First account for chunks already in place.
-        let mut stay = Vec::new();
         let mut movers = Vec::new();
-        for &c in &members {
+        for &c in members {
             let cur = state.remap.disk_of(c);
             if in_tier(cur) {
                 fill[cur.index()] += 1;
-                stay.push(c);
             } else {
                 movers.push(c);
             }

@@ -170,8 +170,9 @@ pub struct Hibernator {
     /// RNG for the `Random` migration ablation.
     shuffle_rng: DetRng,
     /// Disks designated sleep-eligible by the current epoch (standby
-    /// extension); re-slept from `on_tick` when idle past break-even.
-    standby_disks: std::collections::HashSet<usize>,
+    /// extension), ascending by index; re-slept from `on_tick` when idle
+    /// past break-even.
+    standby_disks: Vec<usize>,
     /// Model-calibration feedback: EWMA of observed/predicted response
     /// ratios for the adopted configuration. The M/G/1 model ignores
     /// migration interference and within-tier load clumping, so it runs
@@ -222,7 +223,7 @@ impl Hibernator {
             guard_enabled: true,
             sample_exclude_until: SimTime::ZERO,
             shuffle_rng: DetRng::new(0x41B, "hibernator-shuffle"),
-            standby_disks: std::collections::HashSet::new(),
+            standby_disks: Vec::new(),
             model_error: Ewma::new((cfg.epoch / 4.0).max(SimDuration::from_mins(10.0))),
             correction: 1.0,
             power_cap: None,
@@ -300,10 +301,11 @@ impl Hibernator {
         let est = self.estimator.as_ref().expect("init ran");
         let alloc = self.allocator.as_ref().expect("init ran");
 
-        // 1. Temperature-sorted chunk rates, into the reused buffers.
+        // 1. Temperature-sorted chunks and their rates, into the reused
+        // buffers.
         heat.ranking_into(now, &mut rank_scratch);
         let ranking = rank_scratch.ranked();
-        let rates: Vec<f64> = ranking.iter().map(|&c| heat.rate(now, c)).collect();
+        let rates = rank_scratch.rates();
 
         // 2. Optimise, with the calibrated (tightened) goal and planning
         // headroom below the guard's trip line. Only alive disks are
@@ -315,7 +317,7 @@ impl Hibernator {
             return;
         }
         let input = AllocationInput {
-            chunk_rates: &rates,
+            chunk_rates: rates,
             disks: alive,
             goal_s: self.cfg.goal_s * self.cfg.plan_margin / self.correction,
         };
@@ -420,28 +422,25 @@ impl Hibernator {
         // requests below are no-ops for disks already in the desired state,
         // so re-applying an unchanged allocation costs nothing.
         let targets = match_disks(state, &adopted.per_level);
-        let standby = if adopted_sleep {
-            // Policy-directed sleep: every bottom-tier disk of the adopted
-            // plan parks in standby instead of crawling at level 0.
-            let mut out = std::collections::HashSet::new();
-            for (i, &l) in targets.iter().enumerate() {
-                if l == SpeedLevel(0) && !state.disks[i].has_failed() {
-                    out.insert(i);
-                }
-            }
-            out
-        } else {
-            self.standby_set(state, &adopted, &rates)
-        };
+        // Policy-directed sleep parks every bottom-tier disk of the adopted
+        // plan in standby instead of crawling at level 0; otherwise the
+        // standby extension decides.
+        let sleep_bottom = adopted_sleep || self.standby_eligible(state, &adopted, rates);
+        self.standby_disks.clear();
+        if sleep_bottom {
+            self.standby_disks.extend(
+                (0..targets.len())
+                    .filter(|&i| targets[i] == SpeedLevel(0) && !state.disks[i].has_failed()),
+            );
+        }
         self.current_sleep = adopted_sleep;
-        self.standby_disks = standby.clone();
         let mut changed = false;
         for (i, &l) in targets.iter().enumerate() {
             let d = &state.disks[i];
             if d.has_failed() {
                 continue;
             }
-            if standby.contains(&i) {
+            if self.standby_disks.binary_search(&i).is_ok() {
                 if !d.is_standby() {
                     changed = true;
                 }
@@ -471,7 +470,7 @@ impl Hibernator {
         // transient: ramp backlog drain plus the migration wave (×1.5
         // because foreground interleaving stretches it), capped so the
         // guard always gets the tail of each epoch.
-        self.apply_migrations(now, state, ranking, &rates, &adopted, policy.as_mut());
+        self.apply_migrations(now, state, ranking, rates, &adopted, policy.as_mut());
         if changed || !state.migrator.is_quiescent() {
             let drain = 1.5 * self.migration_drain_estimate_s(state, &adopted.per_level);
             if drain > 0.0 {
@@ -497,7 +496,7 @@ impl Hibernator {
         // byte-identical to the pre-trait code.
         if let Some(info) = policy.decision() {
             let sleepers = if adopted_sleep {
-                standby.len() as u32
+                self.standby_disks.len() as u32
             } else {
                 0
             };
@@ -519,26 +518,23 @@ impl Hibernator {
         self.mig_policy = Some(policy);
     }
 
-    /// The disks (by index) that may stop spinning this epoch: bottom-tier
-    /// members whose per-disk share of the coldest chunk range is below the
-    /// standby threshold. Empty unless the extension is enabled.
-    fn standby_set(
+    /// Whether the bottom tier may stop spinning this epoch under the
+    /// standby extension: its per-disk share of the coldest chunk range is
+    /// below the standby threshold. Always false unless the extension is
+    /// enabled.
+    fn standby_eligible(
         &self,
         state: &ArrayState,
         alloc: &Allocation,
         sorted_rates: &[f64],
-    ) -> std::collections::HashSet<usize> {
-        let mut out = std::collections::HashSet::new();
+    ) -> bool {
         if !self.cfg.allow_standby {
-            return out;
+            return false;
         }
         let n_bottom = alloc.per_level[0];
-        if n_bottom == 0 {
-            return out;
-        }
         let n = state.alive_disks();
-        if n == 0 {
-            return out;
+        if n_bottom == 0 || n == 0 {
+            return false;
         }
         let cpd = sorted_rates.len().div_ceil(n).max(1);
         // The bottom tier holds the coldest `n_bottom` disk-ranges.
@@ -553,17 +549,7 @@ impl Hibernator {
             .power_model()
             .breakeven_standby_s(SpeedLevel(0));
         let threshold = self.cfg.standby_max_rate.min(1.0 / (4.0 * breakeven));
-        if cold_rate / n_bottom as f64 >= threshold {
-            return out;
-        }
-        // All bottom-tier disks qualify; identify them via the matching.
-        let targets = match_disks(state, &alloc.per_level);
-        for (i, &l) in targets.iter().enumerate() {
-            if l == SpeedLevel(0) && !state.disks[i].has_failed() {
-                out.insert(i);
-            }
-        }
-        out
+        cold_rate / (n_bottom as f64) < threshold
     }
 
     /// Rough upper bound on how long the queued migration jobs will take.
@@ -597,23 +583,25 @@ impl Hibernator {
         alloc: &Allocation,
         policy: &mut dyn MigrationPolicy,
     ) {
-        let order: Vec<ChunkId> = match self.cfg.migration_mode {
+        let shuffled: Vec<ChunkId>;
+        let order = match self.cfg.migration_mode {
             MigrationMode::None => return,
-            MigrationMode::Temperature => ranking.to_vec(),
+            MigrationMode::Temperature => ranking,
             MigrationMode::Random => {
-                let mut shuffled = ranking.to_vec();
-                self.shuffle_rng.shuffle(&mut shuffled);
-                shuffled
+                let mut v = ranking.to_vec();
+                self.shuffle_rng.shuffle(&mut v);
+                shuffled = v;
+                &shuffled
             }
         };
         let targets = match_disks(state, &alloc.per_level);
         let jobs = if self.reference_planner {
-            plan_migrations(state, &order, &targets, self.cfg.migration_budget)
+            plan_migrations(state, order, &targets, self.cfg.migration_budget)
         } else {
             policy.propose(&PolicyObservation {
                 now,
                 state,
-                ranking: &order,
+                ranking: order,
                 rates,
                 disk_levels: &targets,
                 budget: self.cfg.migration_budget,
